@@ -48,6 +48,7 @@ class BddStore:
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._op_cache: dict[tuple, int] = {}
         self._varset_tokens: dict[frozenset[int], int] = {}
+        self._sizes: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -352,6 +353,7 @@ class BddStore:
         """Drop all memoization tables (results stay valid)."""
         self._ite_cache.clear()
         self._op_cache.clear()
+        self._sizes.clear()
 
     # ------------------------------------------------------------------
     # read-only queries
@@ -393,8 +395,12 @@ class BddStore:
         return seen
 
     def size(self, e: int) -> int:
-        """Number of internal nodes of the function's diagram."""
-        return len(self.descendants(e))
+        """Number of internal nodes of the diagram; cached by slot, as nodes never change."""
+        a = -e if e < 0 else e
+        n = self._sizes.get(a)
+        if n is None:
+            n = self._sizes[a] = len(self.descendants(a))
+        return n
 
     def support_levels(self, e: int) -> frozenset[int]:
         """Levels of the variables the function actually depends on."""

@@ -31,7 +31,6 @@ class RunConfig:
     strategy: PartitionStrategy = PartitionStrategy("none")
     time_budget_s: float = DEFAULT_TIME_BUDGET_S
     node_budget: int = DEFAULT_NODE_BUDGET
-    seed: int = 0  # reserved: nothing is randomized yet
     csv_path: str | None = None
     dot_dir: str | None = None
 

@@ -29,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="S", help="wall clock budget in seconds")
     solve_p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                          metavar="N", help="store size budget in nodes")
-    solve_p.add_argument("--seed", type=int, default=0,
-                         help="reserved for randomized tie-breaking")
     solve_p.add_argument("--csv", metavar="PATH", help="write the per-layer report here")
     solve_p.add_argument("--dot-dir", metavar="PATH",
                          help="dump every forward layer as a DOT file into this directory")
@@ -50,6 +48,9 @@ def main(argv=None) -> int:
     except (GameSpecError, GameSolveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # the diagram kernels recurse once per variable level
+        print("error: variable order too deep for the recursive BDD kernels", file=sys.stderr)
+        return 1
 
 
 def _cmd_solve(args) -> int:
@@ -57,7 +58,6 @@ def _cmd_solve(args) -> int:
                        strategy=PartitionStrategy.parse(args.partition),
                        time_budget_s=args.time_budget,
                        node_budget=args.node_budget,
-                       seed=args.seed,
                        csv_path=args.csv,
                        dot_dir=args.dot_dir)
     report = run(config)

@@ -16,10 +16,11 @@ implication (``->`` or ``→``), parentheses and the constants ``0`` and
 may be empty or absent; unassigned variables keep their value.
 
 Compilation produces one transition relation per action over an
-interleaved current/next variable order; terminal states have no
-outgoing transitions.  Solving classifies every forward layer by game
-value, walking backward from the last layer and assigning each state
-the best reward class, in the moving player's preference order, whose
+interleaved current/next variable order, and a sink set of terminal
+states that image computation masks out, so they have no outgoing
+transitions.  Solving classifies every forward layer by game value,
+walking backward from the last layer and assigning each state the best
+reward class, in the moving player's preference order, whose
 already-classified successors it can reach.
 """
 
@@ -311,14 +312,33 @@ def bundled_game_names() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # compilation to a transition system
 
+def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
+    """Compile a parsed formula to a BDD, reading variable ``v`` at ``levels[v]``."""
+    op = formula[0]
+    if op == "const":
+        return TRUE if formula[1] else FALSE
+    if op == "var":
+        return store.var(levels[formula[1]])
+    if op == "not":
+        return -_compile_formula(store, levels, formula[1])
+    a = _compile_formula(store, levels, formula[1])
+    b = _compile_formula(store, levels, formula[2])
+    if op == "and":
+        return store.apply("and", a, b)
+    if op == "or":
+        return store.apply("or", a, b)
+    if op == "imp":
+        return store.apply("or", -a, b)
+    raise ValueError(f"bad formula node {formula!r}")
+
+
 def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSystem:
-    """Build one transition relation per action.
+    """Build one transition relation per action and the terminal sink set.
 
     Current and next copies of each variable are interleaved in the
     order, which keeps the per-action relations small.  Each relation is
-    precondition and effect biconditionals and frame axioms for the
-    untouched variables, conjoined with non-termination of the source
-    state so that terminal states are sinks.
+    the precondition, effect biconditionals and frame axioms for the
+    untouched variables; the terminal formula becomes the ``sink`` set.
     """
     names = []
     for v in spec.variables:
@@ -331,62 +351,26 @@ def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSys
     cur = {v: 2 * i for i, v in enumerate(spec.variables)}
     nxt = {v: 2 * i + 1 for i, v in enumerate(spec.variables)}
 
-    def to_edge(formula) -> int:
-        op = formula[0]
-        if op == "const":
-            return TRUE if formula[1] else FALSE
-        if op == "var":
-            return store.var(cur[formula[1]])
-        if op == "not":
-            return -to_edge(formula[1])
-        a = to_edge(formula[1])
-        b = to_edge(formula[2])
-        if op == "and":
-            return store.apply("and", a, b)
-        if op == "or":
-            return store.apply("or", a, b)
-        if op == "imp":
-            return store.apply("or", -a, b)
-        raise ValueError(f"bad formula node {formula!r}")
-
-    not_terminal = -to_edge(spec.terminal)
     relations = []
     for action in spec.actions:
         effect_map = dict(action.effects)
-        trans = store.apply("and", to_edge(action.precondition), not_terminal)
+        trans = _compile_formula(store, cur, action.precondition)
         # conjoin bottom-up: deeper biconditionals first keeps intermediates small
         for v in reversed(spec.variables):
-            rhs = to_edge(effect_map[v]) if v in effect_map else store.var(cur[v])
+            rhs = _compile_formula(store, cur, effect_map.get(v, ("var", v)))
             bicond = store.ite(store.var(nxt[v]), rhs, -rhs)
             trans = store.apply("and", trans, bicond)
         relations.append(Relation(name=action.name, edge=trans, player=action.player))
     return TransitionSystem(store=store,
                             current=tuple(cur[v] for v in spec.variables),
                             nxt=tuple(nxt[v] for v in spec.variables),
-                            relations=tuple(relations))
+                            relations=tuple(relations),
+                            sink=_compile_formula(store, cur, spec.terminal))
 
 
 def formula_edge(ts: TransitionSystem, spec: GameSpec, formula) -> int:
     """Compile a formula over the game's variables to a current-state BDD."""
-    store = ts.store
-    cur = dict(zip(spec.variables, ts.current))
-
-    def rec(f) -> int:
-        op = f[0]
-        if op == "const":
-            return TRUE if f[1] else FALSE
-        if op == "var":
-            return store.var(cur[f[1]])
-        if op == "not":
-            return -rec(f[1])
-        a, b = rec(f[1]), rec(f[2])
-        if op == "and":
-            return store.apply("and", a, b)
-        if op == "or":
-            return store.apply("or", a, b)
-        return store.apply("or", -a, b)
-
-    return rec(formula)
+    return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula)
 
 
 def state_edge(ts: TransitionSystem, bits: Sequence) -> int:
@@ -475,7 +459,6 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     limits = limits or SearchLimits()
     deadline = limits.deadline()
     class_keys, class_edges = _reward_classes(ts, spec)
-    terminal_edge = formula_edge(ts, spec, spec.terminal)
     can_move = {}
     by_player: dict[int, tuple[Relation, ...]] = {}
     for p in range(1, spec.players + 1):
@@ -501,7 +484,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
         t0 = time.perf_counter()
         peak = 0
         layer = layers.layers[d]
-        terminal_here = store.apply("and", layer, terminal_edge)
+        terminal_here = store.apply("and", layer, ts.sink)
         classes = {key: store.apply("and", terminal_here, class_edges[key])
                    for key in class_keys}
         covered = FALSE
@@ -510,7 +493,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
         if covered != terminal_here:
             raise GameSolveError(
                 f"layer {d}: terminal states not covered by the reward classes")
-        rest = store.apply("and", layer, -terminal_edge)
+        rest = store.apply("and", layer, -ts.sink)
         if rest != FALSE:
             if d == last:
                 raise GameSolveError(

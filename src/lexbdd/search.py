@@ -1,12 +1,14 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
 The transition relation is kept as one BDD per action and never built
-monolithically unless asked for.  An image distributes over both the
-action relations and an optional partition of the source set, computes
-one relational product per (action, part) pair and merges the subimages
-as a size-balanced binary disjunction tree.  The breadth-first search
-stores each depth layer as its own BDD and subtracts everything seen
-before, so layers are disjoint and layer index equals BFS depth.
+monolithically unless asked for.  States without successors are kept
+out of the relations as a separate sink set, masked at image time.  An
+image distributes over both the action relations and an optional
+partition of the source set, computes one relational product per
+(action, part) pair and merges the subimages as a size-balanced binary
+disjunction tree.  The breadth-first search stores each depth layer as
+its own BDD and subtracts everything seen before, so layers are disjoint
+and layer index equals BFS depth.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ class Relation:
 
 @dataclass(frozen=True)
 class TransitionSystem:
+    """Action relations over current/next variables, plus a sink set.
+
+    ``sink`` holds the current states that have no successors whatever
+    the relations say; ``image`` and ``preimage`` mask it out.
+    """
     store: BddStore
     current: tuple[int, ...]
     nxt: tuple[int, ...]
     relations: tuple[Relation, ...]
+    sink: int = FALSE
 
     def __post_init__(self):
         if len(self.current) != len(self.nxt):
@@ -47,6 +55,9 @@ class TransitionSystem:
                 raise ValueError(
                     f"relation {rel.name} mentions non-state levels "
                     f"{sorted(support - allowed)}")
+        stray = self.store.support_levels(self.sink) - set(self.current)
+        if stray:
+            raise ValueError(f"sink set mentions non-current levels {sorted(stray)}")
 
     @property
     def to_next(self) -> dict[int, int]:
@@ -179,9 +190,10 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
                relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
     """Per-action, per-part relational products merged into one set.
 
-    Forward quantifies the current variables and renames the result back
-    from next to current; backward renames the sources first and
-    quantifies the next variables.  Returns the image and the largest
+    Forward masks the sink set out of each part, quantifies the current
+    variables and renames the result back from next to current; backward
+    renames the sources first, quantifies the next variables and masks
+    the sink set out of each result.  Returns the image and the largest
     intermediate diagram.
     """
     store = ts.store
@@ -189,16 +201,16 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
         relations = ts.relations
     quantified = set(ts.current) if forward else set(ts.nxt)
     rename_map = ts.to_current if forward else ts.to_next
+    live = -ts.sink
     peak = 0
     pieces = []
     for part in parts:
-        if part == FALSE:
+        source = store.apply("and", part, live) if forward else store.rename(part, rename_map)
+        if source == FALSE:
             continue
-        source = part if forward else store.rename(part, rename_map)
         for rel in relations:
             sub = store.and_exists(quantified, rel.edge, source)
-            if forward:
-                sub = store.rename(sub, rename_map)
+            sub = store.rename(sub, rename_map) if forward else store.apply("and", sub, live)
             peak = max(peak, store.size(sub))
             if sub != FALSE:
                 pieces.append(sub)

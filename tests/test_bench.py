@@ -1,6 +1,8 @@
 """Benchmark runs, CSV round trips, comparison ratios, and the CLI."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,20 @@ from lexbdd.search import PartitionStrategy
 def _run(name, strategy="none", **kw):
     return run(RunConfig(game_path=str(bundled_game_path(name)),
                          strategy=PartitionStrategy.parse(strategy), **kw))
+
+
+# (direction, layer, max_image_nodes, layer_states) of every report row and
+# the initial value, per "game strategy"
+PINNED_RUNS = json.loads((Path(__file__).parent / "regression_pin.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(PINNED_RUNS))
+def test_layers_and_values_match_pinned_runs(key):
+    game, strategy = key.split()
+    report = _run(game, strategy)
+    rows = [[r.direction, r.index, r.max_image_nodes, r.states] for r in report.rows]
+    assert rows == PINNED_RUNS[key]["rows"]
+    assert list(report.initial_value) == PINNED_RUNS[key]["initial_value"]
 
 
 def test_counter_run_solves_with_eight_forward_layers():
@@ -146,3 +162,22 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.game")]) == 1
     assert main(["solve", str(bad), "--partition", "bogus"]) == 1
+
+
+def test_cli_deep_variable_order_is_a_one_line_error(tmp_path, capsys):
+    # a 600-variable shift chain: 1200 levels, deeper than the recursion limit
+    n = 600
+    chain = tmp_path / "chain.game"
+    chain.write_text("\n".join([
+        "vars: " + ", ".join(f"x{i}" for i in range(n)),
+        "init: x0",
+        f"player 1 action shift: pre = !x{n - 1}; eff = x0 := 0, "
+        + ", ".join(f"x{i + 1} := x{i}" for i in range(n - 1)),
+        f"terminal: x{n - 1}",
+        f"reward 1 100: x{n - 1}",
+        f"reward 1 0: !x{n - 1}",
+    ]) + "\n")
+    assert main(["solve", str(chain)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1

@@ -143,6 +143,21 @@ reward 1 1: 1
     assert succ == state_edge(ts, (1, 0))
 
 
+def test_relations_do_not_depend_on_the_terminal_formula():
+    actions = """
+vars: a, b
+init:
+player 1 action seta: pre = !a; eff = a := 1
+player 1 action swap: pre = 1; eff = a := b, b := a
+reward 1 1: 1
+"""
+    ended = compile_game(parse_game(actions + "terminal: a\n"))
+    endless = compile_game(parse_game(actions + "terminal: 0\n"), store=ended.store)
+    assert [r.edge for r in ended.relations] == [r.edge for r in endless.relations]
+    assert ended.sink == ended.store.var(ended.current[0])
+    assert endless.sink == FALSE
+
+
 def test_terminal_states_have_no_outgoing_transitions():
     spec = load_game(bundled_game_path("counter3"))
     ts = compile_game(spec)

@@ -6,7 +6,7 @@ import pytest
 
 from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, \
     precompute_counts, preimage
-from lexbdd.bdd import FALSE
+from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import compile_game, initial_edge, parse_game, state_edge
 from lexbdd.search import Relation, TransitionSystem, _balanced_or
 
@@ -168,10 +168,28 @@ def test_monolithic_relation(counter):
 def test_monolithic_image_agrees(counter):
     spec, ts = counter
     mono_ts = TransitionSystem(store=ts.store, current=ts.current, nxt=ts.nxt,
-                               relations=(Relation("all", ts.monolithic_relation()),))
+                               relations=(Relation("all", ts.monolithic_relation()),),
+                               sink=ts.sink)
     s = _state_set(ts, [(0, 0, 0), (1, 1, 0)])
     assert image(mono_ts, s) == image(ts, s)
     assert preimage(mono_ts, s) == preimage(ts, s)
+
+
+def test_sink_states_have_no_successors(counter):
+    spec, ts = counter
+    store = ts.store
+    # the counter's own terminal state plus two more
+    sink = _state_set(ts, [(0, 1, 0), (1, 0, 0), (1, 1, 1)])
+    sunk = TransitionSystem(store=store, current=ts.current, nxt=ts.nxt,
+                            relations=ts.relations, sink=sink)
+    assert image(sunk, sink) == FALSE
+    for text in ("none", "fold-states-lex:2", "states-lex:1", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        assert image(sunk, sink, strategy.parts_of(store, sink, ts.current)) == FALSE
+        parts = strategy.parts_of(store, TRUE, ts.current)
+        pred = preimage(sunk, TRUE, parts)
+        assert store.apply("and", pred, sink) == FALSE
+        assert pred == store.apply("and", preimage(ts, TRUE, parts), -sink)
 
 
 def test_transition_system_rejects_stray_levels():
@@ -180,6 +198,9 @@ def test_transition_system_rejects_stray_levels():
     with pytest.raises(ValueError):
         TransitionSystem(store=store, current=(0,), nxt=(2,),
                          relations=(Relation("bad", stray),))
+    with pytest.raises(ValueError):
+        TransitionSystem(store=store, current=(0,), nxt=(2,), relations=(),
+                         sink=store.var(2))
 
 
 def test_strategy_parse_and_str():

@@ -65,9 +65,6 @@ class BddStore:
     def level_of(self, name: str) -> int:
         return self._level_by_name[name]
 
-    def name_of(self, level: int) -> str:
-        return self._names[level]
-
     def node_count(self) -> int:
         """Number of internal nodes ever created (the store never shrinks)."""
         return len(self._nodes) - 2
@@ -309,9 +306,12 @@ class BddStore:
     def rename(self, f: int, mapping: Mapping[int | str, int | str]) -> int:
         """Substitute variables per ``mapping`` (level or name keys).
 
-        The mapping must respect the variable order on the support of
-        ``f``; interleaved current/next state variables satisfy this for
-        the usual one-position shifts.
+        Every node of ``f`` is rebuilt at its renamed level through
+        ``mk_node``, so a mapping that would put a node at or below one of
+        its renamed children raises ``ValueError``; for every mapping it
+        accepts the result is the exact substitution.  Interleaved
+        current/next state variables pass for the usual one-position
+        shifts.
         """
         levels: dict[int, int] = {}
         for k, v in mapping.items():
@@ -324,11 +324,6 @@ class BddStore:
             raise ValueError("rename mapping is not injective")
         if not levels:
             return f
-        support = sorted(self.support_levels(f))
-        image = [levels.get(lvl, lvl) for lvl in support]
-        if any(a >= b for a, b in zip(image, image[1:])):
-            raise ValueError(
-                f"rename mapping breaks the variable order on support {support}")
         tok = self._varset_token(frozenset(levels.items()))
         return self._rename_rec(levels, tok, f)
 

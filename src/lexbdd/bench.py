@@ -110,15 +110,20 @@ def read_csv(path) -> RunReport:
     strategy = None
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        for record in reader:
-            game, strategy = record[0], record[1]
-            rows.append(LayerStat(direction=record[2], index=int(record[3]),
-                                  time_ms=float(record[4]), total_nodes=int(record[5]),
-                                  max_image_nodes=int(record[6]),
-                                  states=int(record[7])))
+        try:
+            header = next(reader, [])
+            if tuple(header) != CSV_COLUMNS:
+                raise ValueError(f"unexpected CSV header {header}")
+            for record in reader:
+                if len(record) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(record)}")
+                rows.append(LayerStat(direction=record[2], index=int(record[3]),
+                                      time_ms=float(record[4]), total_nodes=int(record[5]),
+                                      max_image_nodes=int(record[6]),
+                                      states=int(record[7])))
+                game, strategy = record[0], record[1]
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num or 1}: {exc}") from None
     if game is None:
         raise ValueError(f"{path}: no data rows")
     solved = any(r.direction == "backward" and r.index == 0 for r in rows)

@@ -16,7 +16,7 @@ next-state variables of a transition-relation store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .bdd import FALSE, TRUE, BddStore
@@ -29,8 +29,9 @@ class CountTable:
     ``counts`` maps signed edges visited by the precompute pass to the
     number of satisfying assignments of the sub-function over the
     variable positions strictly below the edge's own position.
-    ``root_count`` is the total over the full universe.  Instances are
-    immutable after construction and safe to share across threads.
+    ``root_count`` is the total over the full universe and ``pos`` the
+    position map built by :func:`universe`.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
     store: BddStore
@@ -38,11 +39,7 @@ class CountTable:
     levels: tuple[int, ...]
     counts: dict[int, int]
     root_count: int
-    _pos: dict[int, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._pos:
-            self._pos = {lvl: i for i, lvl in enumerate(self.levels)}
+    pos: dict[int, int]
 
     @property
     def n(self) -> int:
@@ -53,7 +50,7 @@ class CountTable:
         """Universe position of the edge's target; sinks sit at ``n``."""
         if e == 1 or e == -1:
             return len(self.levels)
-        return self._pos[self.store.level_of_edge(e)]
+        return self.pos[self.store.level_of_edge(e)]
 
     def lookup(self, e: int) -> int:
         """Cached count for a signed edge seen during the precompute.
@@ -67,6 +64,23 @@ class CountTable:
             raise KeyError(f"edge {e} was not visited when counting root {self.root}") from None
 
 
+def universe(store: BddStore,
+             levels: Sequence[int] | None = None) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Sorted, checked assignment universe and its level -> position map.
+
+    ``levels`` defaults to every store variable.  The map also sends the
+    sinks' level ``store.n`` to position ``len(levels)``, so
+    ``pos[store.level_of_edge(e)]`` is the position of any edge whose
+    target is a sink or a node inside the universe.
+    """
+    if levels is None:
+        levels = range(store.n)
+    levels = tuple(sorted(store.validate_levels(levels)))
+    pos = {lvl: i for i, lvl in enumerate(levels)}
+    pos[store.n] = len(levels)
+    return levels, pos
+
+
 def precompute_counts(store: BddStore, f: int,
                       levels: Sequence[int] | None = None) -> CountTable:
     """Count satisfying assignments of ``f`` and of every sub-function.
@@ -76,23 +90,11 @@ def precompute_counts(store: BddStore, f: int,
     Reduction gaps are paid for here: a child sitting ``g`` positions
     below its parent contributes its count times ``2**(g-1)`` free
     choices for the skipped variables.  Complement marks are pushed into
-    the recursion, so they resolve only at the sinks.
+    the recursion, so they resolve only at the sinks.  Raises
+    ``ValueError`` when ``f`` depends on a level outside the universe.
     """
-    if levels is None:
-        levels = range(store.n)
-    levels = tuple(sorted(set(levels)))
-    store.validate_levels(levels)
-    support = store.support_levels(f)
-    if not support <= set(levels):
-        raise ValueError(
-            f"support {sorted(support)} not within counting universe {list(levels)}")
-
-    pos = {lvl: i for i, lvl in enumerate(levels)}
-    m = len(levels)
+    levels, pos = universe(store, levels)
     counts: dict[int, int] = {TRUE: 1, FALSE: 0}
-
-    def pos_of(e: int) -> int:
-        return m if e == 1 or e == -1 else pos[store.level_of_edge(e)]
 
     def aux(e: int) -> int:
         c = counts.get(e)
@@ -101,15 +103,20 @@ def precompute_counts(store: BddStore, f: int,
         lvl, t, el = store.node(e)
         if e < 0:
             t, el = -t, -el
-        i = pos[lvl]
-        c = (aux(t) << (pos_of(t) - i - 1)) + (aux(el) << (pos_of(el) - i - 1))
+        i = pos.get(lvl)
+        if i is None:
+            raise ValueError(
+                f"support of root {f} reaches level {lvl}, "
+                f"outside the counting universe {list(levels)}")
+        c = (aux(t) << (pos[store.level_of_edge(t)] - i - 1)) \
+            + (aux(el) << (pos[store.level_of_edge(el)] - i - 1))
         counts[e] = c
         return c
 
-    root_count = aux(f) << pos_of(f)
+    root_count = aux(f) << pos[store.level_of_edge(f)]
     # the sink seeds are exempt: for the constant-false root the 1-sink
     # entry (1) legitimately exceeds the root count (0)
     assert all(c <= root_count for e, c in counts.items() if abs(e) != 1), \
         "internal count exceeds root count"
     return CountTable(store=store, root=f, levels=levels,
-                      counts=counts, root_count=root_count)
+                      counts=counts, root_count=root_count, pos=pos)

@@ -33,7 +33,6 @@ from collections.abc import Sequence
 from importlib import resources
 
 from .bdd import FALSE, TRUE, BddStore
-from .counting import precompute_counts
 from .search import (LayerSequence, LayerStat, NO_PARTITION, PartitionStrategy,
                      Relation, SearchLimits, TransitionSystem, _subimages)
 
@@ -184,9 +183,6 @@ class GameSpec:
 
     def init_bits(self) -> tuple[int, ...]:
         return tuple(1 if v in self.init_true else 0 for v in self.variables)
-
-    def init_state(self) -> dict:
-        return {v: v in self.init_true for v in self.variables}
 
 
 _ACTION_RE = re.compile(r"player\s+([12])\s+action\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
@@ -373,8 +369,14 @@ def formula_edge(ts: TransitionSystem, spec: GameSpec, formula) -> int:
     return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula)
 
 
+def _check_state_bits(ts: TransitionSystem, bits: Sequence) -> None:
+    if len(bits) != len(ts.current):
+        raise ValueError(f"state has {len(bits)} bits, the game has {len(ts.current)} variables")
+
+
 def state_edge(ts: TransitionSystem, bits: Sequence) -> int:
     """Characteristic function of a single state given by its bits."""
+    _check_state_bits(ts, bits)
     return ts.store.cube({lvl: bool(b) for lvl, b in zip(ts.current, bits)})
 
 
@@ -399,7 +401,12 @@ class SolutionTable:
         return self.value_of(self.spec.init_bits())
 
     def value_of(self, bits: Sequence) -> tuple[int, ...]:
-        """Reward vector of a reachable state; raises ``LookupError`` otherwise."""
+        """Reward vector of a reachable state; raises ``LookupError`` otherwise.
+
+        A bit vector whose length is not the number of state variables
+        raises ``ValueError``.
+        """
+        _check_state_bits(self.ts, bits)
         full = [0] * self.ts.store.n
         for lvl, b in zip(self.ts.current, bits):
             full[lvl] = 1 if b else 0
@@ -528,9 +535,8 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                     f"layer {d}: non-terminal states where nobody can move")
         layer_classes[d] = classes
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        layer_states = precompute_counts(store, layer, ts.current).root_count
         stats.append(LayerStat("backward", d, elapsed_ms,
-                               store.node_count(), peak, layer_states))
+                               store.node_count(), peak, layers.stats[d].states))
 
     stats.sort(key=lambda row: row.index)
     return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,

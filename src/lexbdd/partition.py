@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .bdd import FALSE, TRUE, BddStore
-from .counting import CountTable
+from .counting import CountTable, universe
 from .ranking import unrank
 
 
@@ -66,20 +66,15 @@ def split(store: BddStore, f: int, bits: Sequence,
 
 def _split_with_depth(store: BddStore, f: int, bits: Sequence,
                       levels: Sequence[int] | None) -> tuple[SplitPair, int]:
-    if levels is None:
-        levels = range(store.n)
-    levels = tuple(sorted(set(levels)))
+    levels, pos_by_level = universe(store, levels)
     m = len(levels)
     if len(bits) != m:
         raise ValueError(f"cut has {len(bits)} bits, universe has {m}")
+    # the walk below visits only the cut's path, so check the whole support
     support = store.support_levels(f)
-    if not support <= set(levels):
+    if not support <= pos_by_level.keys():
         raise ValueError(
             f"support {sorted(support)} not within split universe {list(levels)}")
-    pos_by_level = {lvl: i for i, lvl in enumerate(levels)}
-
-    def pos_of(e: int) -> int:
-        return m if e == 1 or e == -1 else pos_by_level[store.level_of_edge(e)]
 
     max_depth = 0
 
@@ -87,7 +82,7 @@ def _split_with_depth(store: BddStore, f: int, bits: Sequence,
         nonlocal max_depth
         if pos > max_depth:
             max_depth = pos
-        if pos < pos_of(e):
+        if pos < pos_by_level[store.level_of_edge(e)]:
             # position skipped by reduction: both cofactors equal e
             below_left, below_right = aux(e, pos + 1)
             v = levels[pos]

@@ -5,21 +5,20 @@ monolithically unless asked for.  States without successors are kept
 out of the relations as a separate sink set, masked at image time.  An
 image distributes over both the action relations and an optional
 partition of the source set, computes one relational product per
-(action, part) pair and merges the subimages as a size-balanced binary
-disjunction tree.  The breadth-first search stores each depth layer as
-its own BDD and subtracts everything seen before, so layers are disjoint
-and layer index equals BFS depth.
+(action, part) pair and merges the subimages as a pairwise disjunction
+tree in the order they were computed.  The breadth-first search stores
+each depth layer as its own BDD and subtracts everything seen before, so
+layers are disjoint and layer index equals BFS depth.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
 from .bdd import FALSE, BddStore
 from .counting import precompute_counts
-from .partition import LexPartition, SplitPair, disj_var, fold_states_lex, states_lex_bounded
+from .partition import disj_var, fold_states_lex, states_lex_bounded
 
 STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
 
@@ -153,37 +152,24 @@ class LayerSequence:
     complete: bool
 
 
-def _normalize_parts(parts) -> list[int] | None:
-    if parts is None:
-        return None
-    if isinstance(parts, LexPartition):
-        return list(parts.parts)
-    if isinstance(parts, SplitPair):
-        return [parts.left, parts.right]
-    return list(parts)
-
-
 def _balanced_or(store: BddStore, edges: list[int]) -> tuple[int, int]:
-    """Disjoin edges pairwise, always merging the two smallest diagrams.
+    """Disjoin edges as a pairwise tree in input order.
 
-    Returns the result and the largest intermediate size seen.
+    Each round ORs adjacent pairs; an odd last edge carries over to the
+    next round.  Returns the result and the largest diagram seen among
+    the inputs and the intermediates.
     """
     edges = [e for e in edges if e != FALSE]
     if not edges:
         return FALSE, 0
-    heap = [(store.size(e), i, e) for i, e in enumerate(edges)]
-    heapq.heapify(heap)
-    tiebreak = len(edges)
-    peak = max(size for size, _, _ in heap)
-    while len(heap) > 1:
-        size_a, _, a = heapq.heappop(heap)
-        size_b, _, b = heapq.heappop(heap)
-        merged = store.apply("or", a, b)
-        size = store.size(merged)
-        peak = max(peak, size)
-        heapq.heappush(heap, (size, tiebreak, merged))
-        tiebreak += 1
-    return heap[0][2], peak
+    peak = max(store.size(e) for e in edges)
+    while len(edges) > 1:
+        merged = [store.apply("or", a, b) for a, b in zip(edges[::2], edges[1::2])]
+        peak = max(peak, max(store.size(e) for e in merged))
+        if len(edges) % 2:
+            merged.append(edges[-1])
+        edges = merged
+    return edges[0], peak
 
 
 def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
@@ -194,7 +180,7 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
     variables and renames the result back from next to current; backward
     renames the sources first, quantifies the next variables and masks
     the sink set out of each result.  Returns the image and the largest
-    intermediate diagram.
+    diagram among the subimages and their merges.
     """
     store = ts.store
     if relations is None:
@@ -202,7 +188,6 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
     quantified = set(ts.current) if forward else set(ts.nxt)
     rename_map = ts.to_current if forward else ts.to_next
     live = -ts.sink
-    peak = 0
     pieces = []
     for part in parts:
         source = store.apply("and", part, live) if forward else store.rename(part, rename_map)
@@ -210,25 +195,29 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
             continue
         for rel in relations:
             sub = store.and_exists(quantified, rel.edge, source)
-            sub = store.rename(sub, rename_map) if forward else store.apply("and", sub, live)
-            peak = max(peak, store.size(sub))
-            if sub != FALSE:
-                pieces.append(sub)
-    result, merge_peak = _balanced_or(store, pieces)
-    return result, max(peak, merge_peak)
+            pieces.append(store.rename(sub, rename_map) if forward
+                          else store.apply("and", sub, live))
+    return _balanced_or(store, pieces)
 
 
-def image(ts: TransitionSystem, s: int, parts=None) -> int:
-    """One-step successors of the state set ``s`` (over current variables)."""
-    part_list = _normalize_parts(parts)
-    result, _ = _subimages(ts, part_list if part_list is not None else [s], forward=True)
+def image(ts: TransitionSystem, s: int,
+          strategy: PartitionStrategy = NO_PARTITION) -> int:
+    """One-step successors of the state set ``s`` (over current variables).
+
+    ``s`` is partitioned by ``strategy`` and the subimages of its parts
+    are merged; the result does not depend on the strategy.
+    """
+    result, _ = _subimages(ts, strategy.parts_of(ts.store, s, ts.current), forward=True)
     return result
 
 
-def preimage(ts: TransitionSystem, s: int, parts=None) -> int:
-    """One-step predecessors of the state set ``s`` (over current variables)."""
-    part_list = _normalize_parts(parts)
-    result, _ = _subimages(ts, part_list if part_list is not None else [s], forward=False)
+def preimage(ts: TransitionSystem, s: int,
+             strategy: PartitionStrategy = NO_PARTITION) -> int:
+    """One-step predecessors of the state set ``s`` (over current variables).
+
+    ``s`` is partitioned by ``strategy`` as in :func:`image`.
+    """
+    result, _ = _subimages(ts, strategy.parts_of(ts.store, s, ts.current), forward=False)
     return result
 
 

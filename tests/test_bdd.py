@@ -183,6 +183,33 @@ def test_rename_rejects_order_breaking_map():
         store.rename(f, {0: 2})  # 0 would sink below 1
 
 
+def test_rename_accepts_maps_that_keep_every_node_above_its_children():
+    # x0 ? x1 : x2 with x1 -> x3: the support order 0 < 1 < 2 becomes 0, 3, 2,
+    # but x3 and x2 sit on different branches, so the diagram stays ordered
+    store = BddStore(4)
+    f = store.ite(store.var(0), store.var(1), store.var(2))
+    g = store.rename(f, {1: 3})
+    for bits in all_assignments(4):
+        assert store.evaluate(g, bits) == bool(bits[3] if bits[0] else bits[2])
+    # every single-variable map on sparse random functions: rejected, or exact
+    rng = random.Random(17)
+    for _ in range(30):
+        store = BddStore(6)
+        f = FALSE
+        for _ in range(3):
+            cube = {lvl: rng.random() < 0.5 for lvl in rng.sample(range(6), 2)}
+            f = store.apply("or", f, store.cube(cube))
+        for k, v in itertools.permutations(range(6), 2):
+            try:
+                g = store.rename(f, {k: v})
+            except ValueError:
+                continue
+            for bits in all_assignments(6):
+                moved = tuple(bits[v] if lvl == k else b for lvl, b in enumerate(bits))
+                assert store.evaluate(g, bits) == store.evaluate(f, moved)
+        store.check()
+
+
 def test_canonicity_exhaustive_three_vars():
     store = BddStore(3)
     edges = {}

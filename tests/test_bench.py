@@ -150,6 +150,21 @@ def test_cli_solve_and_compare(tmp_path, capsys):
     assert "fold-states-lex:4" in out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    (",".join(CSV_COLUMNS) + "\ncounter3,none,forward\n", 2),
+    (",".join(CSV_COLUMNS) + "\ncounter3,none,forward,0,1.0,5,0,one\n", 2),
+    (",".join(CSV_COLUMNS) + "\ncounter3,none,forward,0,1.0,5,0,1\n" + "x" * 200_000, 3),
+])
+def test_cli_compare_malformed_csv_is_a_one_line_error(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["compare", str(bad), "--baseline", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}, line {line}:")
+    assert err.count("\n") == 1
+
+
 def test_cli_budget_exhaustion_exit_code(tmp_path):
     game = str(bundled_game_path("lightsout3"))
     assert main(["solve", game, "--time-budget", "1e-9"]) == 2

@@ -109,3 +109,7 @@ def test_projected_universe_rejects_outside_support():
     f = store.var(1)
     with pytest.raises(ValueError):
         precompute_counts(store, f, levels=(0, 2))
+    # the foreign level may sit below the root, on one branch only
+    g = store.ite(store.var(0), store.var(1), store.var(2))
+    with pytest.raises(ValueError):
+        precompute_counts(store, g, levels=(0, 2, 3))

@@ -238,6 +238,16 @@ def test_value_of_unreachable_state():
         sol.value_of((1, 1, 0, 1))  # m1&m2 set before both plies happened
 
 
+def test_state_bits_must_match_the_variable_count():
+    spec, ts, layers, sol = _solved("tictactoe")
+    assert len(ts.current) == 19
+    for bits in ((0,), (0,) * 20):
+        with pytest.raises(ValueError):
+            sol.value_of(bits)
+        with pytest.raises(ValueError):
+            state_edge(ts, bits)
+
+
 def test_solve_requires_complete_layers():
     spec = load_game(bundled_game_path("counter3"))
     ts = compile_game(spec)

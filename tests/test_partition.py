@@ -250,3 +250,11 @@ def test_split_over_projected_universe():
     # parts never touch the interleaved next-state levels
     assert store.support_levels(pair.left) <= set(current)
     assert store.support_levels(pair.right) <= set(current)
+
+
+def test_split_rejects_support_outside_its_universe():
+    # the foreign level 3 lies off the cut's path, so only a whole-support check sees it
+    store = BddStore(6)
+    f = store.ite(store.var(0), store.var(3), store.var(2))
+    with pytest.raises(ValueError):
+        split(store, f, (0, 0, 0), levels=(0, 2, 4))

@@ -8,6 +8,16 @@ together with the two classic reduction rules this keeps the
 representation canonical, so two edges denote the same function exactly
 when they are the same integer.
 
+Besides the node triples the store keeps a parallel level array with
+one entry per slot, the sink's entry being ``n``, so the level of any
+edge is one list index.  ``ite`` brings its arguments to the standard
+triples of Brace, Rudell and Bryant ("Efficient Implementation of a BDD
+Package", DAC 1990) before it consults its cache: an argument equal to
+``f`` or ``not f`` becomes a constant, ``f`` is made regular by swapping
+the branches, and ``g`` is made regular by complementing both branches
+and the result.  ``ite(f, g, h)``, ``ite(not f, h, g)`` and
+``not ite(f, not g, not h)`` therefore share one cache line.
+
 All BDDs in one store share a single fixed variable order.  Variables
 are identified by their level (position in that order); names are
 cosmetic and only used for display and DOT export.
@@ -42,8 +52,11 @@ class BddStore:
             raise ValueError(f"duplicate variable names in {names}")
         self._names = names
         self._level_by_name = {v: i for i, v in enumerate(names)}
-        # slot 0 is unused, slot 1 is the sink sentinel
+        # slot 0 is unused, slot 1 is the sink sentinel; ``_level`` is
+        # parallel to ``_nodes``, with the sink at level n and slot 0 at -1
+        # so that an edge 0 fails every ordering check
         self._nodes: list[tuple[int, int, int] | None] = [None, None]
+        self._level: list[int] = [-1, len(names)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._op_cache: dict[tuple, int] = {}
@@ -78,9 +91,7 @@ class BddStore:
 
     def level_of_edge(self, e: int) -> int:
         """Level of the edge's target node; sinks sit at level ``n``."""
-        if e == 1 or e == -1:
-            return len(self._names)
-        return self._nodes[e if e > 0 else -e][0]
+        return self._level[e if e > 0 else -e]
 
     # ------------------------------------------------------------------
     # construction
@@ -93,13 +104,16 @@ class BddStore:
         ``ValueError`` when the children do not lie strictly below
         ``level`` in the variable order.
         """
+        levels = self._level
         n = len(self._names)
         if not 0 <= level < n:
             raise ValueError(f"level {level} out of range 0..{n - 1}")
-        if self.level_of_edge(then_edge) <= level or self.level_of_edge(else_edge) <= level:
+        lt = levels[then_edge if then_edge > 0 else -then_edge]
+        le = levels[else_edge if else_edge > 0 else -else_edge]
+        if lt <= level or le <= level:
             raise ValueError(
                 f"ordering violation: node at level {level} may not point to "
-                f"levels {self.level_of_edge(then_edge)} / {self.level_of_edge(else_edge)}")
+                f"levels {lt} / {le}")
         if then_edge == else_edge:
             return then_edge
         if then_edge < 0:
@@ -113,6 +127,7 @@ class BddStore:
         if slot is None:
             slot = len(self._nodes)
             self._nodes.append(key)
+            levels.append(level)
             self._unique[key] = slot
         return sign * slot
 
@@ -159,41 +174,70 @@ class BddStore:
     # ------------------------------------------------------------------
     # boolean operations
 
-    def _top_cofactors(self, e: int, level: int) -> tuple[int, int]:
-        """(then, else) cofactors of ``e`` with respect to ``level``."""
-        a = -e if e < 0 else e
-        if a == 1:
-            return e, e
-        lvl, t, el = self._nodes[a]
-        if lvl != level:
-            return e, e
-        if e < 0:
-            return -t, -el
-        return t, el
-
     def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: ``(f and g) or (not f and h)``."""
+        """If-then-else: ``(f and g) or (not f and h)``.
+
+        Equivalent calls share one cache line: the arguments are brought
+        to a standard triple first (see the module docstring).
+        """
         if f == 1:
             return g
         if f == -1:
             return h
+        if g == f:
+            g = 1
+        elif g == -f:
+            g = -1
+        if h == f:
+            h = -1
+        elif h == -f:
+            h = 1
         if g == h:
             return g
         if g == 1 and h == -1:
             return f
         if g == -1 and h == 1:
             return -f
+        if f < 0:
+            f = -f
+            g, h = h, g
+        if g < 0:
+            g = -g
+            h = -h
+            sign = -1
+        else:
+            sign = 1
         key = (f, g, h)
         r = self._ite_cache.get(key)
         if r is not None:
-            return r
-        top = min(self.level_of_edge(f), self.level_of_edge(g), self.level_of_edge(h))
-        f1, f0 = self._top_cofactors(f, top)
-        g1, g0 = self._top_cofactors(g, top)
-        h1, h0 = self._top_cofactors(h, top)
+            return sign * r
+        nodes = self._nodes
+        levels = self._level
+        ah = h if h > 0 else -h
+        lf = levels[f]
+        lg = levels[g]
+        lh = levels[ah]
+        top = lf if lf < lg else lg
+        if lh < top:
+            top = lh
+        if lf == top:
+            _, f1, f0 = nodes[f]
+        else:
+            f1 = f0 = f
+        if lg == top:
+            _, g1, g0 = nodes[g]
+        else:
+            g1 = g0 = g
+        if lh == top:
+            _, h1, h0 = nodes[ah]
+            if h < 0:
+                h1 = -h1
+                h0 = -h0
+        else:
+            h1 = h0 = h
         r = self.mk_node(top, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
         self._ite_cache[key] = r
-        return r
+        return sign * r
 
     def apply(self, op: str, f: int, g: int) -> int:
         """Binary operation ``op`` in {'and', 'or', 'xor'}."""
@@ -277,18 +321,34 @@ class BddStore:
             return FALSE
         if g < f:
             f, g = g, f
-        lf = self.level_of_edge(f)
-        lg = self.level_of_edge(g)
+        levels = self._level
+        af = f if f > 0 else -f
+        ag = g if g > 0 else -g
+        lf = levels[af]
+        lg = levels[ag]
         top = lf if lf < lg else lg
         if top > maxq:
             # no quantified variable can occur below this level
-            return self.apply("and", f, g)
+            return self.ite(f, g, FALSE)
         key = ("ae", tok, f, g)
         r = self._op_cache.get(key)
         if r is not None:
             return r
-        f1, f0 = self._top_cofactors(f, top)
-        g1, g0 = self._top_cofactors(g, top)
+        nodes = self._nodes
+        if lf == top:
+            _, f1, f0 = nodes[af]
+            if f < 0:
+                f1 = -f1
+                f0 = -f0
+        else:
+            f1 = f0 = f
+        if lg == top:
+            _, g1, g0 = nodes[ag]
+            if g < 0:
+                g1 = -g1
+                g0 = -g0
+        else:
+            g1 = g0 = g
         if top in q:
             r0 = self._and_exists_rec(q, maxq, tok, f0, g0)
             if r0 == TRUE:
@@ -404,6 +464,10 @@ class BddStore:
     def check(self) -> None:
         """Verify the structural store invariants; raises on corruption."""
         n = len(self._names)
+        if len(self._level) != len(self._nodes) or self._level[1] != n:
+            raise AssertionError(
+                f"level array has {len(self._level)} slots for {len(self._nodes)} "
+                f"and the sink at level {self._level[1]}, not {n}")
         for slot in range(2, len(self._nodes)):
             lvl, t, el = self._nodes[slot]
             if t < 0:
@@ -412,11 +476,13 @@ class BddStore:
                 raise AssertionError(f"slot {slot}: redundant node")
             if not (0 <= lvl < n):
                 raise AssertionError(f"slot {slot}: bad level {lvl}")
+            if self._level[slot] != lvl:
+                raise AssertionError(f"slot {slot}: level array says {self._level[slot]}, node {lvl}")
             for child in (t, el):
+                if not 1 <= abs(child) < len(self._nodes):
+                    raise AssertionError(f"slot {slot}: dangling edge {child}")
                 if self.level_of_edge(child) <= lvl:
                     raise AssertionError(f"slot {slot}: order violation to {child}")
-                if abs(child) != 1 and abs(child) >= len(self._nodes):
-                    raise AssertionError(f"slot {slot}: dangling edge {child}")
             if self._unique.get((lvl, t, el)) != slot:
                 raise AssertionError(f"slot {slot}: unique table out of sync")
         if len(self._unique) != len(self._nodes) - 2:

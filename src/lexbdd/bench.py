@@ -35,8 +35,8 @@ class RunConfig:
     dot_dir: str | None = None
 
     def __post_init__(self):
-        if self.time_budget_s <= 0:
-            raise ValueError("time budget must be positive")
+        if not self.time_budget_s > 0:  # also rejects NaN
+            raise ValueError(f"time budget must be positive, got {self.time_budget_s}")
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
 

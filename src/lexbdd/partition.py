@@ -75,7 +75,12 @@ def _split_with_depth(store: BddStore, f: int, bits: Sequence,
     if not support <= pos_by_level.keys():
         raise ValueError(
             f"support {sorted(support)} not within split universe {list(levels)}")
+    return _split_walk(store, f, bits, levels, pos_by_level)
 
+
+def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...],
+                pos_by_level: dict[int, int]) -> tuple[SplitPair, int]:
+    """The split itself, for a checked universe, cut and support."""
     max_depth = 0
 
     def aux(e: int, pos: int) -> tuple[int, int]:
@@ -134,9 +139,12 @@ def _partition_at_positions(table: CountTable, positions: Sequence[int]) -> LexP
     cuts = [unrank(table, p - 1) for p in positions[:-1]]
     cuts.append(all_ones)
     parts = []
+    # precompute_counts checked the root's support against the universe,
+    # and a split adds nodes only at universe levels, so no remainder needs
+    # the whole-support check of split
     remainder = table.root
     for cut in cuts:
-        pair = split(store, remainder, cut, table.levels)
+        pair, _ = _split_walk(store, remainder, cut, table.levels, table.pos)
         parts.append(pair.left)
         remainder = pair.right
     assert remainder == FALSE

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .bdd import FALSE, BddStore
-from .counting import precompute_counts
+from .counting import CountTable, precompute_counts
 from .partition import disj_var, fold_states_lex, states_lex_bounded
 
 STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
@@ -100,15 +100,25 @@ class PartitionStrategy:
             return self.kind
         return f"{self.kind}:{self.param}"
 
-    def parts_of(self, store: BddStore, f: int,
+    def parts_of(self, store: BddStore, f: int | CountTable,
                  levels: tuple[int, ...]) -> list[int]:
-        """Partition ``f`` (a state set over ``levels``) into disjoint parts."""
+        """Partition ``f`` (a state set over ``levels``) into disjoint parts.
+
+        ``f`` may also be a :class:`CountTable` of the state set over
+        ``levels``; the lex strategies then use its counts instead of
+        counting the set again.
+        """
+        table = None
+        if isinstance(f, CountTable):
+            table = f
+            f = table.root
         if self.kind == "none" or f == FALSE:
             return [f]
         if self.kind == "disj-var":
             pair = disj_var(store, f, levels)
             return [pair.left, pair.right]
-        table = precompute_counts(store, f, levels)
+        if table is None:
+            table = precompute_counts(store, f, levels)
         if self.kind == "fold-states-lex":
             return list(fold_states_lex(table, self.param).parts)
         return list(states_lex_bounded(table, self.param).parts)
@@ -236,11 +246,10 @@ def layered_bfs(ts: TransitionSystem, init: int,
     limits = limits or SearchLimits()
     deadline = limits.deadline()
 
-    def states_of(e: int) -> int:
-        return precompute_counts(store, e, ts.current).root_count
-
+    # each layer is counted once, for its LayerStat and as the next source
+    table = precompute_counts(store, init, ts.current)
     layers = [init]
-    stats = [LayerStat("forward", 0, 0.0, store.node_count(), 0, states_of(init))]
+    stats = [LayerStat("forward", 0, 0.0, store.node_count(), 0, table.root_count)]
     reached = init
     while True:
         if deadline is not None and time.perf_counter() > deadline:
@@ -248,7 +257,7 @@ def layered_bfs(ts: TransitionSystem, init: int,
         if limits.nodes_exceeded(store):
             return LayerSequence(layers, stats, reached, complete=False)
         t0 = time.perf_counter()
-        parts = strategy.parts_of(store, layers[-1], ts.current)
+        parts = strategy.parts_of(store, table, ts.current)
         successors, peak = _subimages(ts, parts, forward=True)
         frontier = store.apply("and", successors, -reached)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -256,5 +265,6 @@ def layered_bfs(ts: TransitionSystem, init: int,
             return LayerSequence(layers, stats, reached, complete=True)
         layers.append(frontier)
         reached = store.apply("or", reached, frontier)
+        table = precompute_counts(store, frontier, ts.current)
         stats.append(LayerStat("forward", len(layers) - 1, elapsed_ms,
-                               store.node_count(), peak, states_of(frontier)))
+                               store.node_count(), peak, table.root_count))

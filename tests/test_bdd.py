@@ -94,6 +94,50 @@ def test_apply_against_enumeration(op, fn):
             assert store.evaluate(h, bits) == fn(bool(table_f[i]), bool(random_table[i]))
 
 
+def test_ite_against_enumeration():
+    # random f, g, h in every sign combination, plus the aliasing cases that
+    # the standard triples rewrite: g, h in {f, not f, TRUE, FALSE}
+    rng = random.Random(11)
+    for _ in range(10):
+        store = BddStore(5)
+        tables = [[rng.random() < 0.5 for _ in range(32)] for _ in range(3)]
+        f, g, h = (store.from_truth_table(t) for t in tables)
+        rows = list(all_assignments(5))
+        for sf, sg, sh in itertools.product((1, -1), repeat=3):
+            fs = sf * f
+            for gs in (sg * g, fs, -fs, TRUE, FALSE):
+                for hs in (sh * h, fs, -fs, TRUE, FALSE):
+                    r = store.ite(fs, gs, hs)
+                    for bits in rows:
+                        expected = store.evaluate(gs if store.evaluate(fs, bits) else hs, bits)
+                        assert store.evaluate(r, bits) == expected
+        for bits, tf, tg, th in zip(rows, *tables):
+            assert store.evaluate(store.ite(f, g, h), bits) == (tg if tf else th)
+        store.check()
+
+
+def test_equivalent_ite_calls_share_one_cache_line():
+    rng = random.Random(3)
+    store = BddStore(6)
+    f, g, h = (store.from_truth_table([rng.random() < 0.5 for _ in range(64)])
+               for _ in range(3))
+    r = store.ite(f, g, h)
+    cached = len(store._ite_cache)
+    assert store.ite(-f, h, g) == r
+    assert -store.ite(f, -g, -h) == r
+    assert -store.ite(-f, -h, -g) == r
+    assert len(store._ite_cache) == cached
+
+
+def test_check_catches_a_stale_level_array():
+    store = BddStore(3)
+    x = store.apply("and", store.var(0), store.var(2))
+    store.check()
+    store._level[abs(x)] = 1
+    with pytest.raises(AssertionError):
+        store.check()
+
+
 def test_exists_drops_an_independent_variable():
     store = BddStore(3)
     x, g = store.var(0), store.var(2)

@@ -63,8 +63,9 @@ def test_node_budget_flags_incomplete():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        RunConfig(game_path="x.game", time_budget_s=0)
+    for budget in (0, math.nan):
+        with pytest.raises(ValueError):
+            RunConfig(game_path="x.game", time_budget_s=budget)
     with pytest.raises(ValueError):
         RunConfig(game_path="x.game", node_budget=0)
 
@@ -177,6 +178,13 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.game")]) == 1
     assert main(["solve", str(bad), "--partition", "bogus"]) == 1
+    capsys.readouterr()
+    # a NaN budget would disable the deadline and end as if it had run out (exit 2)
+    game = str(bundled_game_path("counter3"))
+    assert main(["solve", game, "--time-budget", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: time budget")
+    assert err.count("\n") == 1
 
 
 def test_cli_deep_variable_order_is_a_one_line_error(tmp_path, capsys):

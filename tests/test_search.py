@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage
+from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage, \
+    precompute_counts
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import compile_game, initial_edge, parse_game, state_edge
 from lexbdd.search import Relation, TransitionSystem, _balanced_or
@@ -215,8 +216,11 @@ def test_strategy_parts_cover_and_are_disjoint(counter):
     spec, ts = counter
     store = ts.store
     s = _state_set(ts, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)])
+    table = precompute_counts(store, s, ts.current)
     for text in ("none", "fold-states-lex:3", "states-lex:2", "disj-var"):
         parts = PartitionStrategy.parse(text).parts_of(store, s, ts.current)
+        # a count table of s stands for s itself
+        assert PartitionStrategy.parse(text).parts_of(store, table, ts.current) == parts
         union = FALSE
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:

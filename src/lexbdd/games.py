@@ -389,11 +389,21 @@ def initial_edge(ts: TransitionSystem, spec: GameSpec) -> int:
 
 @dataclass
 class SolutionTable:
-    """Game value classes per layer; a strong solution when complete."""
+    """Game value classes per layer; a strong solution when complete.
+
+    ``layer_classes[d]`` maps each class key to the states of layer
+    ``d`` with that value.  ``value_sets`` holds, for every class key
+    with at least one classified state, the union of that class over all
+    layers, in ``class_keys`` order.  The layers are disjoint and so are
+    the classes of one layer, so the value sets are pairwise disjoint
+    and a state lies in at most one of them; ``value_of`` evaluates
+    those few diagrams instead of every layer × class pair.
+    """
     ts: TransitionSystem
     spec: GameSpec
     class_keys: tuple[tuple[int, ...], ...]
     layer_classes: list[dict]
+    value_sets: tuple[tuple[tuple[int, ...], int], ...]
     stats: list[LayerStat]
     complete: bool
 
@@ -404,16 +414,16 @@ class SolutionTable:
         """Reward vector of a reachable state; raises ``LookupError`` otherwise.
 
         A bit vector whose length is not the number of state variables
-        raises ``ValueError``.
+        raises ``ValueError``.  Creates no nodes.
         """
         _check_state_bits(self.ts, bits)
+        evaluate = self.ts.store.evaluate
         full = [0] * self.ts.store.n
         for lvl, b in zip(self.ts.current, bits):
             full[lvl] = 1 if b else 0
-        for classes in self.layer_classes:
-            for key, edge in classes.items():
-                if edge != FALSE and self.ts.store.evaluate(edge, full):
-                    return key
+        for key, edge in self.value_sets:
+            if evaluate(edge, full):
+                return key
         raise LookupError(f"state {tuple(bits)} is not classified (unreachable?)")
 
 
@@ -459,10 +469,17 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     states that can reach an already-classified successor of that class.
     A state left over after all classes is a spec defect and raises
     :class:`GameSolveError` naming the layer.
+
+    The store's caches are dropped first: the forward search's entries
+    are keyed by quantify and rename tokens the backward walk never
+    looks up, and keeping them only raises peak memory.  After the last
+    layer, each class is joined over the layers into one value set (see
+    :class:`SolutionTable`), so that queries create no nodes.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
+    store.clear_caches()
     limits = limits or SearchLimits()
     deadline = limits.deadline()
     class_keys, class_edges = _reward_classes(ts, spec)
@@ -539,6 +556,13 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                                store.node_count(), peak, layers.stats[d].states))
 
     stats.sort(key=lambda row: row.index)
+    value_sets = []
+    for key in class_keys:
+        union = FALSE
+        for classes in layer_classes:
+            union = store.apply("or", union, classes.get(key, FALSE))
+        if union != FALSE:
+            value_sets.append((key, union))
     return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,
-                         layer_classes=layer_classes, stats=stats,
-                         complete=complete)
+                         layer_classes=layer_classes, value_sets=tuple(value_sets),
+                         stats=stats, complete=complete)

@@ -11,10 +11,20 @@ node first skips over the whole Else-mass (every assignment with a 0
 at that position is lexicographically smaller), and a reduction gap of
 ``g`` skipped positions turns into a factor ``2**g`` block of equal
 sub-ranks, addressed by the binary value of the skipped bits.
+
+The walks are flat loops over the store's node and level arrays: an
+edge's universe position is ``pos[level[abs(e)]]``, which also holds for
+the sink, as the universe maps the sink's level to ``n``.  The block
+arithmetic runs only where a gap is non-zero, which on the reachable
+states of the bundled tictactoe never happens.  A non-member ends its rank walk at the 0-sink and the
+walk reports it as ``None``, so :func:`member_rank_or_none` answers
+without raising; only :func:`rank` turns it into
+:class:`NotAMemberError`.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 from .counting import CountTable
@@ -46,80 +56,100 @@ def rank(table: CountTable, bits: Sequence) -> int:
     i.e. the assignment does not satisfy the function.
     """
     value, _ = _rank_walk(table, bits)
+    if value is None:
+        raise NotAMemberError(f"assignment {tuple(bits)} does not satisfy the root")
     return value
 
 
-def _rank_walk(table: CountTable, bits: Sequence) -> tuple[int, int]:
+def _rank_walk(table: CountTable, bits: Sequence) -> tuple[int | None, int]:
+    """Rank of ``bits`` (``None`` for a non-member) and the number of nodes visited."""
     m = table.n
     if len(bits) != m:
         raise ValueError(f"assignment has {len(bits)} bits, universe has {m}")
     store = table.store
+    nodes = store._nodes
+    level = store._level
+    pos = table.pos
     counts = table.counts
     e = table.root
-    i = table.position_of_edge(e)
+    i = pos[level[e if e > 0 else -e]]
     # head gap: every assignment of the variables above the root repeats
     # the full satisfying set of the root once
-    acc = bits_to_int(bits[:i]) * counts[e]
+    acc = bits_to_int(bits[:i]) * counts[e] if i else 0
     visits = 0
     while e != 1 and e != -1:
         visits += 1
-        lvl, t, el = store.node(e)
-        if e < 0:
+        if e > 0:
+            _, t, el = nodes[e]
+        else:
+            _, t, el = nodes[-e]
             t, el = -t, -el
+        j = pos[level[el if el > 0 else -el]]
         if bits[i]:
-            j = table.position_of_edge(el)
-            k = table.position_of_edge(t)
+            k = pos[level[t if t > 0 else -t]]
             acc += counts[el] << (j - i - 1)
-            acc += bits_to_int(bits[i + 1:k]) * counts[t]
+            if k > i + 1:
+                acc += bits_to_int(bits[i + 1:k]) * counts[t]
             e, i = t, k
         else:
-            j = table.position_of_edge(el)
-            acc += bits_to_int(bits[i + 1:j]) * counts[el]
+            if j > i + 1:
+                acc += bits_to_int(bits[i + 1:j]) * counts[el]
             e, i = el, j
-    if e == -1:
-        raise NotAMemberError(f"assignment {tuple(bits)} does not satisfy the root")
     assert visits <= m
+    if e == -1:
+        return None, visits
     return acc, visits
 
 
 def unrank(table: CountTable, r: int) -> tuple[int, ...]:
     """The unique satisfying assignment with the given rank.
 
-    ``r`` must lie in ``0 .. root_count - 1``.
+    ``r`` must be an integer in ``0 .. root_count - 1``; anything else
+    raises ``TypeError`` or ``ValueError``.
     """
     bits, _ = _unrank_walk(table, r)
     return bits
 
 
 def _unrank_walk(table: CountTable, r: int) -> tuple[tuple[int, ...], int]:
+    """Assignment of rank ``r`` and the number of nodes visited."""
+    r = operator.index(r)
     if not 0 <= r < table.root_count:
         raise ValueError(f"rank {r} out of range 0..{table.root_count - 1}")
     store = table.store
+    nodes = store._nodes
+    level = store._level
+    pos = table.pos
     counts = table.counts
     m = table.n
     bits = [0] * m
     e = table.root
-    i = table.position_of_edge(e)
-    d, r = divmod(r, counts[e])
-    bits[:i] = int_to_bits(d, i)
+    i = pos[level[e if e > 0 else -e]]
+    if i:
+        d, r = divmod(r, counts[e])
+        bits[:i] = int_to_bits(d, i)
     visits = 0
     while e != 1 and e != -1:
         visits += 1
-        lvl, t, el = store.node(e)
-        if e < 0:
+        if e > 0:
+            _, t, el = nodes[e]
+        else:
+            _, t, el = nodes[-e]
             t, el = -t, -el
-        j = table.position_of_edge(el)
-        k = table.position_of_edge(t)
+        j = pos[level[el if el > 0 else -el]]
         else_mass = counts[el] << (j - i - 1)
         if r < else_mass:
-            d, r = divmod(r, counts[el])
-            bits[i + 1:j] = int_to_bits(d, j - i - 1)
+            if j > i + 1:  # with no gap the sub-rank is already ``r``
+                d, r = divmod(r, counts[el])
+                bits[i + 1:j] = int_to_bits(d, j - i - 1)
             e, i = el, j
         else:
             bits[i] = 1
             r -= else_mass
-            d, r = divmod(r, counts[t])
-            bits[i + 1:k] = int_to_bits(d, k - i - 1)
+            k = pos[level[t if t > 0 else -t]]
+            if k > i + 1:
+                d, r = divmod(r, counts[t])
+                bits[i + 1:k] = int_to_bits(d, k - i - 1)
             e, i = t, k
     assert e == 1 and r == 0, "unrank walk left the satisfying set"
     assert visits <= m
@@ -128,7 +158,4 @@ def _unrank_walk(table: CountTable, r: int) -> tuple[tuple[int, ...], int]:
 
 def member_rank_or_none(table: CountTable, bits: Sequence) -> int | None:
     """Total variant of :func:`rank`: ``None`` for non-members."""
-    try:
-        return rank(table, bits)
-    except NotAMemberError:
-        return None
+    return _rank_walk(table, bits)[0]

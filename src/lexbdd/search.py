@@ -129,9 +129,19 @@ NO_PARTITION = PartitionStrategy("none")
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Wall-clock and store-size budget for one exploration."""
+    """Wall-clock and store-size budget for one exploration.
+
+    ``None`` means unbounded.  A budget must be a number ``>= 0``; a
+    NaN time would never pass its deadline, so it is rejected too.
+    """
     time_s: float | None = None
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        if self.time_s is not None and not self.time_s >= 0:
+            raise ValueError(f"time budget must be >= 0 seconds, got {self.time_s}")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"node budget must be >= 0, got {self.max_nodes}")
 
     def deadline(self) -> float | None:
         if self.time_s is None:

@@ -1,5 +1,7 @@
 """Game spec parsing, compilation, and the retrograde solver."""
 
+import itertools
+
 import pytest
 
 from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, \
@@ -339,3 +341,71 @@ def test_formula_edge_matches_eval():
         for lvl, b in zip(ts.current, bits):
             full[lvl] = b
         assert ts.store.evaluate(edge, full) == eval_formula(spec.terminal, state)
+
+
+def _states(store, e, levels):
+    """Every assignment over ``levels`` that satisfies ``e``, by a path walk."""
+    if e == FALSE:
+        return
+    if not levels:
+        yield ()
+        return
+    lvl, rest = levels[0], levels[1:]
+    if store.level_of_edge(e) > lvl:
+        below = list(_states(store, e, rest))
+        for b in (0, 1):
+            for tail in below:
+                yield (b, *tail)
+        return
+    _, t, el = store.node(e)
+    if e < 0:
+        t, el = -t, -el
+    for b, child in ((0, el), (1, t)):
+        for tail in _states(store, child, rest):
+            yield (b, *tail)
+
+
+def _scan_value(sol, bits):
+    """The layer x class scan ``value_of`` made before the value sets."""
+    full = [0] * sol.ts.store.n
+    for lvl, b in zip(sol.ts.current, bits):
+        full[lvl] = b
+    for classes in sol.layer_classes:
+        for key, edge in classes.items():
+            if edge != FALSE and sol.ts.store.evaluate(edge, full):
+                return key
+    return None
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_value_sets_agree_with_the_layer_scan(name):
+    spec = load_game(bundled_game_path(name))
+    ts = compile_game(spec)
+    store = ts.store
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        sol = solve(ts, spec, layers, strategy)
+        union = FALSE
+        edges = [edge for _, edge in sol.value_sets]
+        for i, e in enumerate(edges):
+            assert e != FALSE
+            for other in edges[i + 1:]:
+                assert store.apply("and", e, other) == FALSE
+            union = store.apply("or", union, e)
+        assert union == layers.reached
+        assert [key for key, _ in sol.value_sets] == \
+            [key for key in sol.class_keys
+             if any(classes[key] != FALSE for classes in sol.layer_classes)]
+        nodes = store.node_count()
+        reached = 0
+        for bits in _states(store, layers.reached, ts.current):
+            assert sol.value_of(bits) == _scan_value(sol, bits)
+            reached += 1
+        assert reached == sum(s.states for s in layers.stats)
+        unreached = _states(store, -layers.reached, ts.current)
+        for bits in itertools.islice(unreached, 50):
+            assert _scan_value(sol, bits) is None
+            with pytest.raises(LookupError):
+                sol.value_of(bits)
+        assert store.node_count() == nodes

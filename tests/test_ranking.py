@@ -6,7 +6,7 @@ import pytest
 
 from lexbdd import BddStore, NotAMemberError, member_rank_or_none, precompute_counts, \
     rank, unrank
-from lexbdd.bdd import TRUE
+from lexbdd.bdd import FALSE, TRUE
 from lexbdd.ranking import _rank_walk, _unrank_walk, bits_to_int, int_to_bits
 
 from helpers import all_assignments, corpus, satisfying
@@ -133,5 +133,80 @@ def test_ranking_over_projected_universe():
 def test_assignment_length_is_checked():
     store = BddStore(3)
     table = precompute_counts(store, TRUE)
-    with pytest.raises(ValueError):
-        rank(table, (1, 0))
+    for bits in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            rank(table, bits)
+        with pytest.raises(ValueError):
+            member_rank_or_none(table, bits)
+
+
+def test_unrank_rejects_a_non_integer_rank():
+    # parity has no gaps, so no block arithmetic would trip over a float
+    store = BddStore(3)
+    f = store.apply("xor", store.apply("xor", store.var(0), store.var(1)), store.var(2))
+    table = precompute_counts(store, f)
+    assert table.root_count == 4
+    for r in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            unrank(table, r)
+    assert unrank(table, True) == unrank(table, 1)
+
+
+def _walk_shapes(table):
+    """Edge shapes the walks meet: gaps by kind, complement marks."""
+    store = table.store
+    root = table.root
+    shapes = set()
+    if table.position_of_edge(root) > 0:
+        shapes.add("head gap")
+    if root < 0:
+        shapes.add("complemented root")
+    for slot in store.descendants(root):
+        lvl, t, el = store.node(slot)
+        for name, child in (("then", t), ("else", el)):
+            gap = table.position_of_edge(child) - table.pos[lvl] - 1
+            shapes.add(f"{name} gap {'zero' if gap == 0 else 'non-zero'}")
+        if el < 0:
+            shapes.add("complemented child")
+    return shapes
+
+
+def _random_cover(rng, store, levels):
+    """A random disjunction of cubes over ``levels``, possibly complemented."""
+    f = FALSE
+    for _ in range(rng.randint(1, 4)):
+        literals = {lvl: rng.random() < 0.5 for lvl in levels if rng.random() < 0.5}
+        f = store.apply("or", f, store.cube(literals))
+    return -f if rng.random() < 0.5 else f
+
+
+def test_flat_walks_match_enumeration_on_projected_universes():
+    # states on the even levels of an interleaved order, as in a game store
+    rng = random.Random(5)
+    shapes = set()
+    for _ in range(60):
+        m = rng.randint(2, 6)
+        store = BddStore(2 * m)
+        levels = tuple(range(0, 2 * m, 2))
+        f = _random_cover(rng, store, levels)
+        table = precompute_counts(store, f, levels=levels)
+        shapes |= _walk_shapes(table)
+        position = 0
+        for bits in all_assignments(m):
+            full = [0] * (2 * m)
+            for lvl, b in zip(levels, bits):
+                full[lvl] = b
+            if store.evaluate(f, full):
+                assert rank(table, bits) == position
+                assert member_rank_or_none(table, bits) == position
+                assert unrank(table, position) == bits
+                position += 1
+            else:
+                assert member_rank_or_none(table, bits) is None
+                assert _rank_walk(table, bits)[0] is None
+                with pytest.raises(NotAMemberError):
+                    rank(table, bits)
+        assert position == table.root_count
+    assert shapes == {"head gap", "complemented root", "complemented child",
+                      "then gap zero", "then gap non-zero",
+                      "else gap zero", "else gap non-zero"}

@@ -1,5 +1,6 @@
 """Image algebra, layered BFS, and partition strategies."""
 
+import math
 import random
 
 import pytest
@@ -132,6 +133,16 @@ def test_partition_invariance_of_bfs(counter):
         seq = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
         assert seq.layers == baseline.layers  # canonical edges, same store
         assert seq.reached == baseline.reached
+
+
+def test_search_limits_reject_nan_and_negative_budgets():
+    for kwargs in ({"time_s": math.nan}, {"time_s": -1.0}, {"time_s": -math.inf},
+                   {"max_nodes": -1}):
+        with pytest.raises(ValueError):
+            SearchLimits(**kwargs)
+    # zero is a budget that is already spent; None and infinity are unbounded
+    for kwargs in ({"time_s": 0.0}, {"time_s": math.inf}, {"max_nodes": 0}, {}):
+        SearchLimits(**kwargs)
 
 
 def test_time_budget_exhaustion(counter):

@@ -75,9 +75,6 @@ class BddStore:
     def var_names(self) -> tuple[str, ...]:
         return tuple(self._names)
 
-    def level_of(self, name: str) -> int:
-        return self._level_by_name[name]
-
     def node_count(self) -> int:
         """Number of internal nodes ever created (the store never shrinks)."""
         return len(self._nodes) - 2
@@ -267,58 +264,29 @@ class BddStore:
             raise ValueError(f"levels {sorted(bad)} are not store variables (n={n})")
         return q
 
-    def exists(self, levels: Iterable[int], f: int) -> int:
-        """Existentially quantify the given variable levels out of ``f``."""
-        q = self.validate_levels(levels)
-        if not q:
-            return f
-        tok = self._varset_token(q)
-        return self._exists_rec(q, max(q), tok, f)
-
-    def _exists_rec(self, q: frozenset[int], maxq: int, tok: int, e: int) -> int:
-        if e == 1 or e == -1:
-            return e
-        a = -e if e < 0 else e
-        lvl, t, el = self._nodes[a]
-        if lvl > maxq:
-            return e
-        key = ("ex", tok, e)
-        r = self._op_cache.get(key)
-        if r is not None:
-            return r
-        if e < 0:
-            t, el = -t, -el
-        rt = self._exists_rec(q, maxq, tok, t)
-        if lvl in q and rt == TRUE:
-            r = TRUE
-        else:
-            re = self._exists_rec(q, maxq, tok, el)
-            if lvl in q:
-                r = self.ite(rt, TRUE, re)
-            else:
-                r = self.mk_node(lvl, rt, re)
-        self._op_cache[key] = r
-        return r
-
     def and_exists(self, levels: Iterable[int], f: int, g: int) -> int:
-        """Relational product: ``exists(levels, f and g)`` without the full conjunction."""
+        """Relational product: ``exists(levels, f and g)`` without the full conjunction.
+
+        This is the store's only quantification kernel; :meth:`exists`
+        calls it with ``g = TRUE``.
+        """
         q = self.validate_levels(levels)
         if not q:
             return self.apply("and", f, g)
         tok = self._varset_token(q)
         return self._and_exists_rec(q, max(q), tok, f, g)
 
+    def exists(self, levels: Iterable[int], f: int) -> int:
+        """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
+        return self.and_exists(levels, f, TRUE)
+
     def _and_exists_rec(self, q: frozenset[int], maxq: int, tok: int, f: int, g: int) -> int:
-        if f == -1 or g == -1:
+        if f == -1 or g == -1 or f == -g:
             return FALSE
-        if f == 1:
-            return TRUE if g == 1 else self._exists_rec(q, maxq, tok, g)
-        if g == 1:
-            return self._exists_rec(q, maxq, tok, f)
         if f == g:
-            return self._exists_rec(q, maxq, tok, f)
-        if f == -g:
-            return FALSE
+            g = TRUE
+        if f == 1 and g == 1:
+            return TRUE
         if g < f:
             f, g = g, f
         levels = self._level

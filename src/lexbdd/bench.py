@@ -37,8 +37,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.time_budget_s > 0:  # also rejects NaN
             raise ValueError(f"time budget must be positive, got {self.time_budget_s}")
-        if self.node_budget <= 0:
-            raise ValueError("node budget must be positive")
+        if not self.node_budget > 0:  # also rejects NaN
+            raise ValueError(f"node budget must be positive, got {self.node_budget}")
 
 
 @dataclass

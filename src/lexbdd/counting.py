@@ -46,23 +46,6 @@ class CountTable:
         """Number of variable positions in the universe."""
         return len(self.levels)
 
-    def position_of_edge(self, e: int) -> int:
-        """Universe position of the edge's target; sinks sit at ``n``."""
-        if e == 1 or e == -1:
-            return len(self.levels)
-        return self.pos[self.store.level_of_edge(e)]
-
-    def lookup(self, e: int) -> int:
-        """Cached count for a signed edge seen during the precompute.
-
-        Asking for an edge the precompute never visited is a contract
-        violation and raises ``KeyError``.
-        """
-        try:
-            return self.counts[e]
-        except KeyError:
-            raise KeyError(f"edge {e} was not visited when counting root {self.root}") from None
-
 
 def universe(store: BddStore,
              levels: Sequence[int] | None = None) -> tuple[tuple[int, ...], dict[int, int]]:

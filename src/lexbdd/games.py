@@ -132,28 +132,13 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
             return ("imp", f, implication())
         return f
 
-    result = implication()
+    try:
+        result = implication()
+    except RecursionError:
+        raise GameSpecError(f"line {line_no}: formula nested too deeply") from None
     if peek() is not None:
         raise GameSpecError(f"line {line_no}: trailing tokens after formula: {tokens[index:]}")
     return result
-
-
-def eval_formula(formula, state) -> bool:
-    """Evaluate a formula on a ``{var: bool}`` mapping."""
-    op = formula[0]
-    if op == "const":
-        return formula[1]
-    if op == "var":
-        return bool(state[formula[1]])
-    if op == "not":
-        return not eval_formula(formula[1], state)
-    if op == "and":
-        return eval_formula(formula[1], state) and eval_formula(formula[2], state)
-    if op == "or":
-        return eval_formula(formula[1], state) or eval_formula(formula[2], state)
-    if op == "imp":
-        return (not eval_formula(formula[1], state)) or eval_formula(formula[2], state)
-    raise ValueError(f"bad formula node {formula!r}")
 
 
 # ----------------------------------------------------------------------
@@ -234,16 +219,16 @@ def parse_game(text: str, name: str = "game") -> GameSpec:
         if m:
             player, act_name, body = int(m.group(1)), m.group(2), m.group(3)
             pre_part, _, eff_part = body.partition(";")
-            pre_part = pre_part.strip()
-            if not pre_part.startswith("pre"):
+            pre_kw, eq, pre_text = pre_part.strip().partition("=")
+            if not pre_kw.startswith("pre") or not eq:
                 raise GameSpecError(f"line {line_no}: action body must start with 'pre ='")
-            pre = parse_formula(pre_part.split("=", 1)[1], variables, line_no)
+            pre = parse_formula(pre_text, variables, line_no)
             effects = []
             eff_part = eff_part.strip()
             if eff_part:
-                if not eff_part.startswith("eff"):
+                eff_kw, eq, eff_body = eff_part.partition("=")
+                if not eff_kw.startswith("eff") or not eq:
                     raise GameSpecError(f"line {line_no}: expected 'eff =' after ';'")
-                eff_body = eff_part.split("=", 1)[1]
                 for item in eff_body.split(","):
                     item = item.strip()
                     if not item:

@@ -60,12 +60,6 @@ def split(store: BddStore, f: int, bits: Sequence,
     The cut may be any assignment; membership in the satisfying set is
     not required.
     """
-    pair, _ = _split_with_depth(store, f, bits, levels)
-    return pair
-
-
-def _split_with_depth(store: BddStore, f: int, bits: Sequence,
-                      levels: Sequence[int] | None) -> tuple[SplitPair, int]:
     levels, pos_by_level = universe(store, levels)
     m = len(levels)
     if len(bits) != m:
@@ -79,14 +73,10 @@ def _split_with_depth(store: BddStore, f: int, bits: Sequence,
 
 
 def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...],
-                pos_by_level: dict[int, int]) -> tuple[SplitPair, int]:
+                pos_by_level: dict[int, int]) -> SplitPair:
     """The split itself, for a checked universe, cut and support."""
-    max_depth = 0
 
     def aux(e: int, pos: int) -> tuple[int, int]:
-        nonlocal max_depth
-        if pos > max_depth:
-            max_depth = pos
         if pos < pos_by_level[store.level_of_edge(e)]:
             # position skipped by reduction: both cofactors equal e
             below_left, below_right = aux(e, pos + 1)
@@ -110,8 +100,7 @@ def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...]
         return (store.mk_node(lvl, FALSE, e_left),
                 store.mk_node(lvl, t, e_right))
 
-    left, right = aux(f, 0)
-    return SplitPair(left, right), max_depth + 1
+    return SplitPair(*aux(f, 0))
 
 
 def split_at_count(table: CountTable, m: int) -> SplitPair:
@@ -144,7 +133,7 @@ def _partition_at_positions(table: CountTable, positions: Sequence[int]) -> LexP
     # the whole-support check of split
     remainder = table.root
     for cut in cuts:
-        pair, _ = _split_walk(store, remainder, cut, table.levels, table.pos)
+        pair = _split_walk(store, remainder, cut, table.levels, table.pos)
         parts.append(pair.left)
         remainder = pair.right
     assert remainder == FALSE

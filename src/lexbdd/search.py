@@ -1,9 +1,9 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
 The transition relation is kept as one BDD per action and never built
-monolithically unless asked for.  States without successors are kept
-out of the relations as a separate sink set, masked at image time.  An
-image distributes over both the action relations and an optional
+monolithically.  States without successors are kept out of the
+relations as a separate sink set, masked at image time.  An image
+distributes over both the action relations and an optional
 partition of the source set, computes one relational product per
 (action, part) pair and merges the subimages as a pairwise disjunction
 tree in the order they were computed.  The breadth-first search stores
@@ -66,12 +66,6 @@ class TransitionSystem:
     def to_current(self) -> dict[int, int]:
         return dict(zip(self.nxt, self.current))
 
-    def monolithic_relation(self) -> int:
-        """The disjunction of all action relations, built on demand."""
-        edges = [rel.edge for rel in self.relations]
-        result, _ = _balanced_or(self.store, edges)
-        return result
-
 
 @dataclass(frozen=True)
 class PartitionStrategy:
@@ -132,7 +126,7 @@ class SearchLimits:
     """Wall-clock and store-size budget for one exploration.
 
     ``None`` means unbounded.  A budget must be a number ``>= 0``; a
-    NaN time would never pass its deadline, so it is rejected too.
+    NaN budget would never bind, so it is rejected too.
     """
     time_s: float | None = None
     max_nodes: int | None = None
@@ -140,7 +134,7 @@ class SearchLimits:
     def __post_init__(self):
         if self.time_s is not None and not self.time_s >= 0:
             raise ValueError(f"time budget must be >= 0 seconds, got {self.time_s}")
-        if self.max_nodes is not None and self.max_nodes < 0:
+        if self.max_nodes is not None and not self.max_nodes >= 0:
             raise ValueError(f"node budget must be >= 0, got {self.max_nodes}")
 
     def deadline(self) -> float | None:

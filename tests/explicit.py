@@ -1,12 +1,31 @@
 """Explicit-state reference engine for game specs.
 
-Interprets a parsed game directly on concrete bit tuples: breadth-first
-reachability and memoized backward induction.  Shares nothing with the
-symbolic pipeline except the parsed spec, so it serves as the
+Interprets a parsed game directly on concrete bit tuples: formulas are
+evaluated here on ``{var: bool}`` mappings, and the engine does
+breadth-first reachability and memoized backward induction.  The only
+thing it takes from ``lexbdd`` is the parsed spec, so it serves as the
 independent oracle for layer counts and game values.
 """
 
-from lexbdd.games import GameSpec, eval_formula
+from lexbdd.games import GameSpec
+
+
+def eval_formula(formula, state) -> bool:
+    """Evaluate a parsed formula on a ``{var: bool}`` mapping."""
+    op = formula[0]
+    if op == "const":
+        return formula[1]
+    if op == "var":
+        return bool(state[formula[1]])
+    if op == "not":
+        return not eval_formula(formula[1], state)
+    if op == "and":
+        return eval_formula(formula[1], state) and eval_formula(formula[2], state)
+    if op == "or":
+        return eval_formula(formula[1], state) or eval_formula(formula[2], state)
+    if op == "imp":
+        return (not eval_formula(formula[1], state)) or eval_formula(formula[2], state)
+    raise ValueError(f"bad formula node {formula!r}")
 
 
 class ExplicitGame:

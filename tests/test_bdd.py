@@ -191,15 +191,47 @@ def test_and_exists_base_cases():
     assert store.and_exists([], f, g) == store.apply("and", f, g)
 
 
-def test_and_exists_equals_two_step():
+def _projected(table, n, qvars):
+    """Truth table of ``exists(qvars, table)``, by or-ing each quantified bit away."""
+    for lvl in qvars:
+        bit = 1 << (n - 1 - lvl)
+        table = [v or table[i ^ bit] for i, v in enumerate(table)]
+    return table
+
+
+def _table_of(store, e, n):
+    return [store.evaluate(e, bits) for bits in all_assignments(n)]
+
+
+def test_and_exists_matches_enumeration():
     rng = random.Random(23)
     for _ in range(50):
-        store, f, _ = random_function(rng, 10, density=rng.choice((0.3, 0.5, 0.8)))
-        g = store.from_truth_table([rng.random() < 0.5 for _ in range(1 << 10)])
+        store, f, f_table = random_function(rng, 10, density=rng.choice((0.3, 0.5, 0.8)))
+        g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
+        g = store.from_truth_table(g_table)
         qvars = rng.sample(range(10), rng.randint(1, 6))
-        fused = store.and_exists(qvars, f, g)
-        two_step = store.exists(qvars, store.apply("and", f, g))
-        assert fused == two_step
+        conj = [a and b for a, b in zip(f_table, g_table)]
+        assert _table_of(store, store.and_exists(qvars, f, g), 10) == \
+            _projected(conj, 10, qvars)
+
+
+def test_and_exists_terminal_cases_match_enumeration():
+    # a constant, equal or complementary operand ends the recursion early
+    rng = random.Random(29)
+    for _ in range(20):
+        store, f, f_table = random_function(rng, 6, density=rng.choice((0.3, 0.5, 0.8)),
+                                            complemented=rng.random() < 0.5)
+        qvars = rng.sample(range(6), rng.randint(1, 4))
+        for g, g_table in ((TRUE, [True] * 64), (FALSE, [False] * 64), (f, f_table),
+                           (-f, [not v for v in f_table])):
+            for a, b in ((f, g), (g, f)):
+                conj = [x and y for x, y in zip(f_table, g_table)]
+                assert _table_of(store, store.and_exists(qvars, a, b), 6) == \
+                    _projected(conj, 6, qvars)
+    store = BddStore(3)
+    assert store.and_exists([0], TRUE, TRUE) == TRUE
+    assert store.exists([0, 2], TRUE) == TRUE
+    assert store.exists([1], FALSE) == FALSE
 
 
 def test_rename_identity_and_inverse():

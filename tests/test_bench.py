@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -66,8 +67,9 @@ def test_budget_validation():
     for budget in (0, math.nan):
         with pytest.raises(ValueError):
             RunConfig(game_path="x.game", time_budget_s=budget)
-    with pytest.raises(ValueError):
-        RunConfig(game_path="x.game", node_budget=0)
+    for budget in (0, math.nan):
+        with pytest.raises(ValueError):
+            RunConfig(game_path="x.game", node_budget=budget)
 
 
 def test_csv_round_trip(tmp_path):
@@ -184,6 +186,21 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert main(["solve", game, "--time-budget", "nan"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: time budget")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("terminal, action", [
+    ("a", "pre"),
+    ("a", "pre = 1; eff"),
+    ("(" * 3000 + "a" + ")" * 3000, "pre = 1"),
+])
+def test_cli_malformed_spec_is_a_one_line_error(tmp_path, capsys, terminal, action):
+    bad = tmp_path / "bad.game"
+    bad.write_text(f"vars: a\nterminal: {terminal}\nplayer 1 action go: {action}\n"
+                   "reward 1 5: 1\n")
+    assert main(["solve", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: line [23]: ", err)
     assert err.count("\n") == 1
 
 

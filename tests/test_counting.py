@@ -26,8 +26,8 @@ def test_single_variable_halves_the_cube():
 def test_sink_entries_are_seeded():
     store = BddStore(3)
     table = precompute_counts(store, store.var(0))
-    assert table.lookup(TRUE) == 1
-    assert table.lookup(FALSE) == 0
+    assert table.counts[TRUE] == 1
+    assert table.counts[FALSE] == 0
 
 
 def test_random_counts_match_enumeration():
@@ -46,7 +46,7 @@ def test_complement_entries_partition_the_subcube():
         for e, value in table.counts.items():
             if abs(e) == 1 or -e not in table.counts:
                 continue
-            pos = table.position_of_edge(e)
+            pos = table.pos[store.level_of_edge(e)]
             assert value + table.counts[-e] == 1 << (n - pos)
             checked += 1
     assert checked > 0
@@ -63,17 +63,8 @@ def test_dual_entries_stored_per_sign():
     assert duals, "no node was visited through both edge signs"
     n = store.n
     for e in duals:
-        pos = table.position_of_edge(e)
+        pos = table.pos[store.level_of_edge(e)]
         assert table.counts[e] + table.counts[-e] == 1 << (n - pos)
-
-
-def test_lookup_miss_is_a_contract_violation():
-    store = BddStore(3)
-    f = store.apply("and", store.var(0), store.var(1))
-    table = precompute_counts(store, f)
-    unrelated = store.apply("xor", store.var(1), store.var(2))
-    with pytest.raises(KeyError):
-        table.lookup(unrelated)
 
 
 def test_boundedness_of_internal_entries():

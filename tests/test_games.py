@@ -1,6 +1,8 @@
 """Game spec parsing, compilation, and the retrograde solver."""
 
 import itertools
+import random
+import re
 
 import pytest
 
@@ -8,10 +10,10 @@ from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, 
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
     parse_game, precompute_counts, solve
 from lexbdd.bdd import FALSE
-from lexbdd.games import eval_formula, formula_edge, parse_formula, state_edge
+from lexbdd.games import formula_edge, parse_formula, state_edge
 from lexbdd.search import PartitionStrategy
 
-from explicit import ExplicitGame
+from explicit import ExplicitGame, eval_formula
 
 
 def _solved(name, strategy=None):
@@ -66,11 +68,54 @@ def test_parse_formula_constants_and_precedence():
     ("vars: a\ninit: zz\nterminal: a\nreward 1 5: 1", "unknown init"),
     ("vars: a\ninit:\nplayer 2 action go: pre = 1; eff = a := 1\nterminal: a\nreward 2 5: 1",
      "player 2 declared without player 1"),
+    ("vars: a\ninit:\nplayer 1 action go: pre\nterminal: a\nreward 1 5: 1",
+     "line 3: action body must start with 'pre ='"),
+    ("vars: a\ninit:\nplayer 1 action go: pre = 1; eff\nterminal: a\nreward 1 5: 1",
+     "line 3: expected 'eff ='"),
 ])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(GameSpecError) as err:
         parse_game(text)
     assert fragment in str(err.value)
+
+
+def test_deeply_nested_formula_is_a_spec_error():
+    depth = 3000
+    text = f"vars: a\ninit:\nplayer 1 action go: pre = 1\nterminal: {'(' * depth}a{')' * depth}\n"
+    with pytest.raises(GameSpecError, match=r"^line 4: formula nested too deeply$"):
+        parse_game(text + "reward 1 5: 1")
+    with pytest.raises(GameSpecError, match=r"^line 7: formula nested too deeply$"):
+        parse_formula("!" * depth + "a", ("a",), 7)
+
+
+# spec-wide errors have no single line to name
+_WHOLE_SPEC_ERRORS = re.compile(
+    r"no variables declared|no terminal condition declared|no actions declared"
+    r"|player [12] has no reward declarations|player 2 declared without player 1")
+
+
+def test_parser_fuzz_raises_only_spec_errors():
+    rng = random.Random(2024)
+    sources = [bundled_game_path(name).read_text(encoding="utf-8")
+               for name in bundled_game_names()]
+    alphabet = "abcxyz01_ =:;,()!&|->#\n" + "¬∧∨→"
+    rejected = 0
+    for _ in range(2000):
+        chars = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(chars) + 1)
+            if chars and rng.random() < 0.5:
+                del chars[min(i, len(chars) - 1)]
+            else:
+                chars.insert(i, rng.choice(alphabet))
+        try:
+            parse_game("".join(chars))
+        except GameSpecError as exc:
+            rejected += 1
+            message = str(exc)
+            assert re.match(r"line \d+: ", message) or _WHOLE_SPEC_ERRORS.fullmatch(message), \
+                message
+    assert 200 < rejected < 2000
 
 
 def test_parse_roundtrip_fields():
@@ -329,6 +374,17 @@ def test_solve_partition_strategies_agree():
     for strategy in ("fold-states-lex:8", "states-lex:32", "disj-var"):
         other = _solved("lightsout3", strategy)[3]
         assert other.initial_value() == base.initial_value()
+
+
+def test_solve_uses_one_quantification_kernel():
+    # the op cache holds only relational products and renames
+    spec = load_game(bundled_game_path("tictactoe"))
+    ts = compile_game(spec)
+    strategy = PartitionStrategy.parse("fold-states-lex:8")
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    assert {key[0] for key in ts.store._op_cache} == {"ae", "rn"}
+    solve(ts, spec, layers, strategy)
+    assert {key[0] for key in ts.store._op_cache} == {"ae", "rn"}
 
 
 def test_formula_edge_matches_eval():

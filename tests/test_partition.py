@@ -1,13 +1,15 @@
 """Split identities, structural budgets, and partition schemes."""
 
 import random
+import sys
 
 import pytest
 
 from lexbdd import BddStore, disj_var, fold_states_lex, precompute_counts, split, \
     split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.partition import _split_with_depth
+from lexbdd.counting import universe
+from lexbdd.partition import _split_walk
 
 from helpers import all_assignments, check_lex_partition, corpus, \
     random_function, satisfying
@@ -92,12 +94,33 @@ def test_split_count_additivity():
 
 
 def test_split_recursion_depth():
+    # the walk's frames are counted from outside, by a profile hook
+    aux = next(c for c in _split_walk.__code__.co_consts
+               if getattr(c, "co_name", None) == "aux")
     rng = random.Random(17)
     for n in (4, 8, 12):
         store, f, _ = random_function(rng, n)
         cut = tuple(rng.randint(0, 1) for _ in range(n))
-        _, depth = _split_with_depth(store, f, cut, None)
-        assert depth <= n + 1
+        depth = max_depth = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, max_depth
+            if frame.f_code is not aux:
+                return
+            if event == "call":
+                depth += 1
+                max_depth = max(max_depth, depth)
+            elif event == "return":
+                depth -= 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _split_walk(store, f, cut, *universe(store))
+        finally:
+            sys.setprofile(previous)
+        assert depth == 0
+        assert 1 <= max_depth <= n + 1
 
 
 def test_split_at_count_boundaries():

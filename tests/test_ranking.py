@@ -157,14 +157,15 @@ def _walk_shapes(table):
     store = table.store
     root = table.root
     shapes = set()
-    if table.position_of_edge(root) > 0:
+    pos = table.pos
+    if pos[store.level_of_edge(root)] > 0:
         shapes.add("head gap")
     if root < 0:
         shapes.add("complemented root")
     for slot in store.descendants(root):
         lvl, t, el = store.node(slot)
         for name, child in (("then", t), ("else", el)):
-            gap = table.position_of_edge(child) - table.pos[lvl] - 1
+            gap = pos[store.level_of_edge(child)] - pos[lvl] - 1
             shapes.add(f"{name} gap {'zero' if gap == 0 else 'non-zero'}")
         if el < 0:
             shapes.add("complemented child")

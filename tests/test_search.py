@@ -137,7 +137,7 @@ def test_partition_invariance_of_bfs(counter):
 
 def test_search_limits_reject_nan_and_negative_budgets():
     for kwargs in ({"time_s": math.nan}, {"time_s": -1.0}, {"time_s": -math.inf},
-                   {"max_nodes": -1}):
+                   {"max_nodes": -1}, {"max_nodes": math.nan}):
         with pytest.raises(ValueError):
             SearchLimits(**kwargs)
     # zero is a budget that is already spent; None and infinity are unbounded
@@ -164,9 +164,15 @@ def test_empty_init_rejected(counter):
         layered_bfs(ts, FALSE)
 
 
+def _monolithic_relation(ts):
+    """The disjunction of all action relations, as one BDD."""
+    result, _ = _balanced_or(ts.store, [rel.edge for rel in ts.relations])
+    return result
+
+
 def test_monolithic_relation(counter):
     spec, ts = counter
-    mono = ts.monolithic_relation()
+    mono = _monolithic_relation(ts)
     expected = FALSE
     for rel in ts.relations:
         expected = ts.store.apply("or", expected, rel.edge)
@@ -176,7 +182,7 @@ def test_monolithic_relation(counter):
 def test_monolithic_image_agrees(counter):
     spec, ts = counter
     mono_ts = TransitionSystem(store=ts.store, current=ts.current, nxt=ts.nxt,
-                               relations=(Relation("all", ts.monolithic_relation()),),
+                               relations=(Relation("all", _monolithic_relation(ts)),),
                                sink=ts.sink)
     s = _state_set(ts, [(0, 0, 0), (1, 1, 0)])
     assert image(mono_ts, s) == image(ts, s)

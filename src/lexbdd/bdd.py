@@ -18,6 +18,13 @@ the branches, and ``g`` is made regular by complementing both branches
 and the result.  ``ite(f, g, h)``, ``ite(not f, h, g)`` and
 ``not ite(f, not g, not h)`` therefore share one cache line.
 
+``ite`` and the unquantified levels of the relational product make
+their nodes inline, with the reduction rule, complement normalisation
+and unique-table lookup of ``mk_node`` but not its ordering check:
+their children are built from cofactors below the node's level, and
+``check`` re-verifies the whole store.  ``ite`` leaves out the
+normalisation too, as its Then-result is always regular (see there).
+
 All BDDs in one store share a single fixed variable order.  Variables
 are identified by their level (position in that order); names are
 cosmetic and only used for display and DOT export.
@@ -166,7 +173,10 @@ class BddStore:
             e1 = build(level + 1, mid, hi)
             return self.mk_node(level, e1, e0)
 
-        return build(0, 0, 1 << n)
+        try:
+            return build(0, 0, 1 << n)
+        finally:
+            del build  # break build's self-reference, as in precompute_counts
 
     # ------------------------------------------------------------------
     # boolean operations
@@ -232,7 +242,20 @@ class BddStore:
                 h0 = -h0
         else:
             h1 = h0 = h
-        r = self.mk_node(top, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+        t = self.ite(f1, g1, h1)
+        e = self.ite(f0, g0, h0)
+        # mk_node inline; t needs no complement normalisation, as f1 and g1
+        # are regular and so ite(f1, g1, h1) is true on the all-ones assignment
+        if t == e:
+            r = t
+        else:
+            node = (top, t, e)
+            r = self._unique.get(node)
+            if r is None:
+                r = len(nodes)
+                nodes.append(node)
+                levels.append(top)
+                self._unique[node] = r
         self._ite_cache[key] = r
         return sign * r
 
@@ -327,7 +350,22 @@ class BddStore:
         else:
             r1 = self._and_exists_rec(q, maxq, tok, f1, g1)
             r0 = self._and_exists_rec(q, maxq, tok, f0, g0)
-            r = self.mk_node(top, r1, r0)
+            # mk_node inline, as in ite
+            if r1 == r0:
+                r = r1
+            else:
+                if r1 < 0:
+                    node = (top, -r1, -r0)
+                else:
+                    node = (top, r1, r0)
+                r = self._unique.get(node)
+                if r is None:
+                    r = len(nodes)
+                    nodes.append(node)
+                    levels.append(top)
+                    self._unique[node] = r
+                if r1 < 0:
+                    r = -r
         self._op_cache[key] = r
         return r
 
@@ -400,21 +438,22 @@ class BddStore:
 
     def descendants(self, *roots: int) -> set[int]:
         """Slots of all internal nodes reachable from the given edges."""
-        seen: set[int] = set()
-        stack = [abs(e) for e in roots if abs(e) != 1]
+        # the sink is seen from the start and each child is tested once, before
+        # it is pushed; Then-edges are regular, so only Else-edges drop a sign
+        stack = list({abs(e) for e in roots} - {1})
+        seen = {1, *stack}
         nodes = self._nodes
         while stack:
-            a = stack.pop()
-            if a in seen:
-                continue
-            seen.add(a)
-            _, t, el = nodes[a]
-            t = abs(t)
-            el = abs(el)
-            if t != 1 and t not in seen:
+            _, t, el = nodes[stack.pop()]
+            if t not in seen:
+                seen.add(t)
                 stack.append(t)
-            if el != 1 and el not in seen:
+            if el < 0:
+                el = -el
+            if el not in seen:
+                seen.add(el)
                 stack.append(el)
+        seen.discard(1)
         return seen
 
     def size(self, e: int) -> int:

@@ -96,7 +96,12 @@ def precompute_counts(store: BddStore, f: int,
         counts[e] = c
         return c
 
-    root_count = aux(f) << pos[store.level_of_edge(f)]
+    try:
+        root_count = aux(f) << pos[store.level_of_edge(f)]
+    finally:
+        # aux refers to itself: break that cycle, or it keeps the store
+        # alive until the next cyclic garbage collection
+        del aux
     # the sink seeds are exempt: for the constant-false root the 1-sink
     # entry (1) legitimately exceeds the root count (0)
     assert all(c <= root_count for e, c in counts.items() if abs(e) != 1), \

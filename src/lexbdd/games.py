@@ -213,6 +213,8 @@ def parse_game(text: str, name: str = "game") -> GameSpec:
                 init_true.add(v)
             continue
         if line.startswith("terminal:"):
+            if terminal is not None:
+                raise GameSpecError(f"line {line_no}: terminal condition declared twice")
             terminal = parse_formula(line[len("terminal:"):], variables, line_no)
             continue
         m = _ACTION_RE.match(line)
@@ -220,14 +222,14 @@ def parse_game(text: str, name: str = "game") -> GameSpec:
             player, act_name, body = int(m.group(1)), m.group(2), m.group(3)
             pre_part, _, eff_part = body.partition(";")
             pre_kw, eq, pre_text = pre_part.strip().partition("=")
-            if not pre_kw.startswith("pre") or not eq:
+            if pre_kw.strip() != "pre" or not eq:
                 raise GameSpecError(f"line {line_no}: action body must start with 'pre ='")
             pre = parse_formula(pre_text, variables, line_no)
             effects = []
             eff_part = eff_part.strip()
             if eff_part:
                 eff_kw, eq, eff_body = eff_part.partition("=")
-                if not eff_kw.startswith("eff") or not eq:
+                if eff_kw.strip() != "eff" or not eq:
                     raise GameSpecError(f"line {line_no}: expected 'eff =' after ';'")
                 for item in eff_body.split(","):
                     item = item.strip()

@@ -100,7 +100,10 @@ def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...]
         return (store.mk_node(lvl, FALSE, e_left),
                 store.mk_node(lvl, t, e_right))
 
-    return SplitPair(*aux(f, 0))
+    try:
+        return SplitPair(*aux(f, 0))
+    finally:
+        del aux  # break aux's self-reference, as in precompute_counts
 
 
 def split_at_count(table: CountTable, m: int) -> SplitPair:

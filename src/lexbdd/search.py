@@ -3,12 +3,15 @@
 The transition relation is kept as one BDD per action and never built
 monolithically.  States without successors are kept out of the
 relations as a separate sink set, masked at image time.  An image
-distributes over both the action relations and an optional
-partition of the source set, computes one relational product per
-(action, part) pair and merges the subimages as a pairwise disjunction
-tree in the order they were computed.  The breadth-first search stores
-each depth layer as its own BDD and subtracts everything seen before, so
-layers are disjoint and layer index equals BFS depth.
+distributes over both the action relations and an optional partition
+of the source set, computes one relational product per (action, part)
+pair and merges the subimages as a pairwise disjunction tree in the
+order they were computed.  Forward subimages are merged over the
+next-state variables, where the relational product leaves them, and
+the merged image is renamed back to the current variables once.  The
+breadth-first search stores each depth layer as its own BDD and
+subtracts everything seen before, so layers are disjoint and layer
+index equals BFS depth.
 """
 
 from __future__ import annotations
@@ -190,28 +193,35 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
                relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
     """Per-action, per-part relational products merged into one set.
 
-    Forward masks the sink set out of each part, quantifies the current
-    variables and renames the result back from next to current; backward
-    renames the sources first, quantifies the next variables and masks
-    the sink set out of each result.  Returns the image and the largest
-    diagram among the subimages and their merges.
+    Forward masks the sink set out of each part and quantifies the
+    current variables; the pieces, over the next variables, are merged
+    there and the merged image is renamed back to the current variables
+    once.  Backward renames the sources first, quantifies the next
+    variables and masks the sink set out of each result.  Returns the
+    image and the largest diagram among the subimages and their merges.
+    In the interleaved order of ``compile_game`` that rename moves every
+    level one position up and keeps their order, so each piece and merge has
+    as many nodes over the next variables as it would over the current
+    ones: the peak is the same on either side of the rename.
     """
     store = ts.store
     if relations is None:
         relations = ts.relations
     quantified = set(ts.current) if forward else set(ts.nxt)
-    rename_map = ts.to_current if forward else ts.to_next
+    to_next = ts.to_next
     live = -ts.sink
     pieces = []
     for part in parts:
-        source = store.apply("and", part, live) if forward else store.rename(part, rename_map)
+        source = store.apply("and", part, live) if forward else store.rename(part, to_next)
         if source == FALSE:
             continue
         for rel in relations:
             sub = store.and_exists(quantified, rel.edge, source)
-            pieces.append(store.rename(sub, rename_map) if forward
-                          else store.apply("and", sub, live))
-    return _balanced_or(store, pieces)
+            pieces.append(sub if forward else store.apply("and", sub, live))
+    merged, peak = _balanced_or(store, pieces)
+    if forward:
+        merged = store.rename(merged, ts.to_current)
+    return merged, peak
 
 
 def image(ts: TransitionSystem, s: int,

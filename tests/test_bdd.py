@@ -1,7 +1,9 @@
 """Store, node construction, and boolean operation tests."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -338,6 +340,53 @@ def test_support_and_size():
     assert store.support_levels(f) == frozenset({1, 3})
     assert store.size(f) == 2
     assert store.size(TRUE) == 0
+
+
+def _reachable_slots(store, e, seen):
+    """Slots under ``e`` by plain recursion over ``node``, the oracle for ``descendants``."""
+    if e in (TRUE, FALSE) or abs(e) in seen:
+        return seen
+    seen.add(abs(e))
+    _, t, el = store.node(e)
+    _reachable_slots(store, t, seen)
+    _reachable_slots(store, el, seen)
+    return seen
+
+
+def test_size_and_descendants_match_a_recursive_count():
+    rng = random.Random(17)
+    for trial in range(40):
+        n = rng.choice((3, 5, 7, 9))
+        store, f, _ = random_function(rng, n, rng.choice((0.2, 0.5, 0.8)),
+                                      complemented=trial % 2 == 1)
+        g = store.from_truth_table([rng.random() < 0.5 for _ in range(1 << n)])
+        h = store.apply("xor", f, g)
+        for e in (f, -f, g, -g, h, -h, TRUE, FALSE):
+            expected = _reachable_slots(store, e, set())
+            assert store.descendants(e) == expected
+            assert store.size(e) == len(expected)
+        roots = (f, -g, h, TRUE, -h)
+        union = set()
+        for e in roots:
+            _reachable_slots(store, e, union)
+        assert store.descendants(*roots) == union
+        assert store.descendants() == set()
+        assert store.descendants(TRUE, FALSE) == set()
+
+
+def test_from_truth_table_leaves_no_reference_cycle():
+    # a store dies with its last reference, without waiting for the cycle collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        store = BddStore(4)
+        store.from_truth_table([i % 3 == 0 for i in range(16)])
+        ref = weakref.ref(store)
+        del store
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cube():

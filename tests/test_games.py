@@ -1,8 +1,10 @@
 """Game spec parsing, compilation, and the retrograde solver."""
 
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 
@@ -72,6 +74,14 @@ def test_parse_formula_constants_and_precedence():
      "line 3: action body must start with 'pre ='"),
     ("vars: a\ninit:\nplayer 1 action go: pre = 1; eff\nterminal: a\nreward 1 5: 1",
      "line 3: expected 'eff ='"),
+    # keywords match exactly, not by prefix
+    ("vars: a\ninit:\nplayer 1 action go: pretty = !a; effective = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 3: action body must start with 'pre ='"),
+    ("vars: a\ninit:\nplayer 1 action go: pre = !a; effective = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 3: expected 'eff ='"),
+    # a second terminal line does not silently replace the first
+    ("vars: a\ninit:\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\nterminal: 0\n"
+     "reward 1 5: 1", "line 5: terminal condition declared twice"),
 ])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(GameSpecError) as err:
@@ -385,6 +395,22 @@ def test_solve_uses_one_quantification_kernel():
     assert {key[0] for key in ts.store._op_cache} == {"ae", "rn"}
     solve(ts, spec, layers, strategy)
     assert {key[0] for key in ts.store._op_cache} == {"ae", "rn"}
+
+
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "disj-var"])
+def test_solved_store_dies_with_its_last_reference(strategy):
+    # no closure of the solver may hold the store in a reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        spec, ts, layers, sol = _solved("tictactoe", strategy)
+        assert sol.complete
+        ref = weakref.ref(ts.store)
+        del ts, layers, sol
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_formula_edge_matches_eval():

@@ -8,8 +8,9 @@ import pytest
 from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage, \
     precompute_counts
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.games import compile_game, initial_edge, parse_game, state_edge
-from lexbdd.search import Relation, TransitionSystem, _balanced_or
+from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, initial_edge, \
+    load_game, parse_game, solve, state_edge
+from lexbdd.search import Relation, TransitionSystem, _balanced_or, _subimages
 
 from explicit import ExplicitGame
 
@@ -87,6 +88,36 @@ def test_balanced_or_matches_fold():
         assert merged == expected
         assert peak >= store.size(merged)
     assert _balanced_or(store, []) == (FALSE, 0)
+
+
+def _subimages_renaming_each_piece(ts, parts):
+    """Reference forward image: every piece renamed back to the current variables, then merged."""
+    store = ts.store
+    pieces = []
+    for part in parts:
+        source = store.apply("and", part, -ts.sink)
+        if source == FALSE:
+            continue
+        for rel in ts.relations:
+            sub = store.and_exists(set(ts.current), rel.edge, source)
+            pieces.append(store.rename(sub, ts.to_current))
+    return _balanced_or(store, pieces)
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_forward_subimages_rename_once_with_the_same_peak(name):
+    spec = load_game(bundled_game_path(name))
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        ts = compile_game(spec)
+        store = ts.store
+        strategy = PartitionStrategy.parse(text)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        for layer in layers.layers:
+            parts = strategy.parts_of(store, layer, ts.current)
+            assert _subimages(ts, parts, forward=True) == \
+                _subimages_renaming_each_piece(ts, parts)
+        solve(ts, spec, layers, strategy)
+        store.check()
 
 
 def test_layered_bfs_counter_layers(counter):

@@ -68,7 +68,6 @@ class BddStore:
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._op_cache: dict[tuple, int] = {}
         self._varset_tokens: dict[frozenset[int], int] = {}
-        self._sizes: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -165,18 +164,10 @@ class BddStore:
         if len(table) != 1 << n:
             raise ValueError(f"need {1 << n} entries, got {len(table)}")
 
-        def build(level: int, lo: int, hi: int) -> int:
-            if level == n:
-                return TRUE if table[lo] else FALSE
-            mid = (lo + hi) // 2
-            e0 = build(level + 1, lo, mid)
-            e1 = build(level + 1, mid, hi)
-            return self.mk_node(level, e1, e0)
-
-        try:
-            return build(0, 0, 1 << n)
-        finally:
-            del build  # break build's self-reference, as in precompute_counts
+        row = [TRUE if v else FALSE for v in table]
+        for level in range(n - 1, -1, -1):
+            row = [self.mk_node(level, row[i + 1], row[i]) for i in range(0, len(row), 2)]
+        return row[0]
 
     # ------------------------------------------------------------------
     # boolean operations
@@ -414,7 +405,6 @@ class BddStore:
         """Drop all memoization tables (results stay valid)."""
         self._ite_cache.clear()
         self._op_cache.clear()
-        self._sizes.clear()
 
     # ------------------------------------------------------------------
     # read-only queries
@@ -457,12 +447,8 @@ class BddStore:
         return seen
 
     def size(self, e: int) -> int:
-        """Number of internal nodes of the diagram; cached by slot, as nodes never change."""
-        a = -e if e < 0 else e
-        n = self._sizes.get(a)
-        if n is None:
-            n = self._sizes[a] = len(self.descendants(a))
-        return n
+        """Number of internal nodes of the diagram."""
+        return len(self.descendants(e))
 
     def support_levels(self, e: int) -> frozenset[int]:
         """Levels of the variables the function actually depends on."""

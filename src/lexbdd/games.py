@@ -304,15 +304,21 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
         return store.var(levels[formula[1]])
     if op == "not":
         return -_compile_formula(store, levels, formula[1])
-    a = _compile_formula(store, levels, formula[1])
-    b = _compile_formula(store, levels, formula[2])
-    if op == "and":
-        return store.apply("and", a, b)
-    if op == "or":
-        return store.apply("or", a, b)
     if op == "imp":
-        return store.apply("or", -a, b)
-    raise ValueError(f"bad formula node {formula!r}")
+        a = _compile_formula(store, levels, formula[1])
+        return store.apply("or", -a, _compile_formula(store, levels, formula[2]))
+    if op not in ("and", "or"):
+        raise ValueError(f"bad formula node {formula!r}")
+    # the parser nests a chain of one operator to the left, one level per
+    # operand; walk down it in a loop, then apply the operands left to right
+    operands = []
+    while formula[0] == op:
+        operands.append(formula[2])
+        formula = formula[1]
+    result = _compile_formula(store, levels, formula)
+    for operand in reversed(operands):
+        result = store.apply(op, result, _compile_formula(store, levels, operand))
+    return result
 
 
 def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSystem:

@@ -16,10 +16,10 @@ The walks are flat loops over the store's node and level arrays: an
 edge's universe position is ``pos[level[abs(e)]]``, which also holds for
 the sink, as the universe maps the sink's level to ``n``.  The block
 arithmetic runs only where a gap is non-zero, which on the reachable
-states of the bundled tictactoe never happens.  A non-member ends its rank walk at the 0-sink and the
-walk reports it as ``None``, so :func:`member_rank_or_none` answers
-without raising; only :func:`rank` turns it into
-:class:`NotAMemberError`.
+states of the bundled tictactoe never happens.  A non-member ends its
+rank walk at the 0-sink and the walk reports it as ``None``, so
+:func:`member_rank_or_none` answers without raising; only :func:`rank`
+turns it into :class:`NotAMemberError`.
 """
 
 from __future__ import annotations

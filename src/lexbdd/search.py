@@ -5,13 +5,12 @@ monolithically.  States without successors are kept out of the
 relations as a separate sink set, masked at image time.  An image
 distributes over both the action relations and an optional partition
 of the source set, computes one relational product per (action, part)
-pair and merges the subimages as a pairwise disjunction tree in the
-order they were computed.  Forward subimages are merged over the
-next-state variables, where the relational product leaves them, and
-the merged image is renamed back to the current variables once.  The
-breadth-first search stores each depth layer as its own BDD and
-subtracts everything seen before, so layers are disjoint and layer
-index equals BFS depth.
+pair and ORs each subimage into the image as it is made.  Forward
+subimages are merged over the next-state variables, where the
+relational product leaves them, and the merged image is renamed back
+to the current variables once.  The breadth-first search stores each
+depth layer as its own BDD and subtracts everything seen before, so
+layers are disjoint and layer index equals BFS depth.
 """
 
 from __future__ import annotations
@@ -50,6 +49,17 @@ class TransitionSystem:
     def __post_init__(self):
         if len(self.current) != len(self.nxt):
             raise ValueError("current and next variable lists differ in length")
+        n = self.store.n
+        for name, levels in (("current", self.current), ("next", self.nxt)):
+            if len(set(levels)) != len(levels):
+                raise ValueError(f"{name} variable list repeats a level: {list(levels)}")
+            outside = [lvl for lvl in levels if not 0 <= lvl < n]
+            if outside:
+                raise ValueError(f"{name} variable list names levels {outside} "
+                                 f"outside the store's 0..{n - 1}")
+        shared = set(self.current) & set(self.nxt)
+        if shared:
+            raise ValueError(f"levels {sorted(shared)} are both current and next")
         allowed = set(self.current) | set(self.nxt)
         for rel in self.relations:
             support = self.store.support_levels(rel.edge)
@@ -151,7 +161,12 @@ class SearchLimits:
 
 @dataclass
 class LayerStat:
-    """Per-layer measurements of one search direction."""
+    """Per-layer measurements of one search direction.
+
+    ``max_image_nodes`` is the largest diagram, in nodes, among the
+    layer's subimages and the images they merge into; it does not
+    depend on the order of the actions or of the merge.
+    """
     direction: str
     index: int
     time_ms: float
@@ -169,40 +184,21 @@ class LayerSequence:
     complete: bool
 
 
-def _balanced_or(store: BddStore, edges: list[int]) -> tuple[int, int]:
-    """Disjoin edges as a pairwise tree in input order.
-
-    Each round ORs adjacent pairs; an odd last edge carries over to the
-    next round.  Returns the result and the largest diagram seen among
-    the inputs and the intermediates.
-    """
-    edges = [e for e in edges if e != FALSE]
-    if not edges:
-        return FALSE, 0
-    peak = max(store.size(e) for e in edges)
-    while len(edges) > 1:
-        merged = [store.apply("or", a, b) for a, b in zip(edges[::2], edges[1::2])]
-        peak = max(peak, max(store.size(e) for e in merged))
-        if len(edges) % 2:
-            merged.append(edges[-1])
-        edges = merged
-    return edges[0], peak
-
-
 def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
                relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
-    """Per-action, per-part relational products merged into one set.
+    """Per-action, per-part relational products ORed into one set as they are made.
 
     Forward masks the sink set out of each part and quantifies the
     current variables; the pieces, over the next variables, are merged
     there and the merged image is renamed back to the current variables
     once.  Backward renames the sources first, quantifies the next
     variables and masks the sink set out of each result.  Returns the
-    image and the largest diagram among the subimages and their merges.
-    In the interleaved order of ``compile_game`` that rename moves every
-    level one position up and keeps their order, so each piece and merge has
-    as many nodes over the next variables as it would over the current
-    ones: the peak is the same on either side of the rename.
+    image and its peak: the largest diagram among the subimages and the
+    merged image, each sized once.  The peak does not depend on the
+    order of the parts or the actions.  In the interleaved order of
+    ``compile_game`` the forward rename moves every level one position
+    up and keeps their order, so a diagram has as many nodes over the
+    next variables as over the current ones.
     """
     store = ts.store
     if relations is None:
@@ -210,15 +206,18 @@ def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
     quantified = set(ts.current) if forward else set(ts.nxt)
     to_next = ts.to_next
     live = -ts.sink
-    pieces = []
+    merged, peak = FALSE, 0
     for part in parts:
         source = store.apply("and", part, live) if forward else store.rename(part, to_next)
         if source == FALSE:
             continue
         for rel in relations:
             sub = store.and_exists(quantified, rel.edge, source)
-            pieces.append(sub if forward else store.apply("and", sub, live))
-    merged, peak = _balanced_or(store, pieces)
+            if not forward:
+                sub = store.apply("and", sub, live)
+            peak = max(peak, store.size(sub))
+            merged = store.apply("or", merged, sub)
+    peak = max(peak, store.size(merged))
     if forward:
         merged = store.rename(merged, ts.to_current)
     return merged, peak

@@ -221,3 +221,23 @@ def test_cli_deep_variable_order_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_cli_long_operator_chain_solves(tmp_path, capsys, op):
+    # 5,000 operands: the parser nests the chain 5,000 deep to the left
+    outputs = []
+    for terminal in (f" {op} ".join(["a"] * 4999 + ["b"]), f"a {op} b"):
+        game = tmp_path / "chain.game"
+        game.write_text("\n".join([
+            "vars: a, b",
+            "player 1 action seta: pre = !a; eff = a := 1",
+            "player 1 action setb: pre = a & !b; eff = b := 1",
+            f"terminal: {terminal}",
+            "reward 1 100: a",
+            "reward 1 0: !a",
+        ]) + "\n")
+        assert main(["solve", str(game)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "initial_value=100" in outputs[1]
+    assert outputs[0] == outputs[1]

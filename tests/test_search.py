@@ -1,7 +1,7 @@
 """Image algebra, layered BFS, and partition strategies."""
 
+import dataclasses
 import math
-import random
 
 import pytest
 
@@ -10,7 +10,7 @@ from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, initial_edge, \
     load_game, parse_game, solve, state_edge
-from lexbdd.search import Relation, TransitionSystem, _balanced_or, _subimages
+from lexbdd.search import Relation, TransitionSystem, _subimages
 
 from explicit import ExplicitGame
 
@@ -74,34 +74,24 @@ def test_image_distributes_over_partitions(counter):
         assert image(ts, s, strategy) == whole
 
 
-def test_balanced_or_matches_fold():
-    rng = random.Random(6)
-    store = BddStore(8)
-    edges = [store.from_truth_table([rng.random() < 0.3 for _ in range(256)])
-             for _ in range(9)]
-    expected = FALSE
-    for e in edges:
-        expected = store.apply("or", expected, e)
-    for _ in range(5):
-        rng.shuffle(edges)
-        merged, peak = _balanced_or(store, list(edges))
-        assert merged == expected
-        assert peak >= store.size(merged)
-    assert _balanced_or(store, []) == (FALSE, 0)
+def _subimages_reference(ts, parts, forward):
+    """Reference image: every piece over the current variables, folded with OR.
 
-
-def _subimages_renaming_each_piece(ts, parts):
-    """Reference forward image: every piece renamed back to the current variables, then merged."""
+    The peak is the largest diagram among the pieces and the image.
+    """
     store = ts.store
+    quantified = set(ts.current) if forward else set(ts.nxt)
     pieces = []
     for part in parts:
-        source = store.apply("and", part, -ts.sink)
-        if source == FALSE:
-            continue
+        source = store.apply("and", part, -ts.sink) if forward else store.rename(part, ts.to_next)
         for rel in ts.relations:
-            sub = store.and_exists(set(ts.current), rel.edge, source)
-            pieces.append(store.rename(sub, ts.to_current))
-    return _balanced_or(store, pieces)
+            sub = store.and_exists(quantified, rel.edge, source)
+            pieces.append(store.rename(sub, ts.to_current) if forward
+                          else store.apply("and", sub, -ts.sink))
+    result = FALSE
+    for piece in pieces:
+        result = store.apply("or", result, piece)
+    return result, max(len(store.descendants(e)) for e in (*pieces, result))
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -114,10 +104,28 @@ def test_forward_subimages_rename_once_with_the_same_peak(name):
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
         for layer in layers.layers:
             parts = strategy.parts_of(store, layer, ts.current)
-            assert _subimages(ts, parts, forward=True) == \
-                _subimages_renaming_each_piece(ts, parts)
+            for forward in (True, False):
+                assert _subimages(ts, parts, forward=forward) == \
+                    _subimages_reference(ts, parts, forward)
         solve(ts, spec, layers, strategy)
         store.check()
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_peak_does_not_depend_on_action_order(name):
+    spec = load_game(bundled_game_path(name))
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        rows = []
+        for reverse in (False, True):
+            ts = compile_game(spec)
+            if reverse:
+                ts = dataclasses.replace(ts, relations=ts.relations[::-1])
+            layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+            table = solve(ts, spec, layers, strategy)
+            rows.append([(r.direction, r.index, r.max_image_nodes, r.states)
+                         for r in layers.stats + table.stats])
+        assert rows[0] == rows[1], text
 
 
 def test_layered_bfs_counter_layers(counter):
@@ -197,17 +205,10 @@ def test_empty_init_rejected(counter):
 
 def _monolithic_relation(ts):
     """The disjunction of all action relations, as one BDD."""
-    result, _ = _balanced_or(ts.store, [rel.edge for rel in ts.relations])
-    return result
-
-
-def test_monolithic_relation(counter):
-    spec, ts = counter
-    mono = _monolithic_relation(ts)
-    expected = FALSE
+    result = FALSE
     for rel in ts.relations:
-        expected = ts.store.apply("or", expected, rel.edge)
-    assert mono == expected
+        result = ts.store.apply("or", result, rel.edge)
+    return result
 
 
 def test_monolithic_image_agrees(counter):
@@ -245,6 +246,28 @@ def test_transition_system_rejects_stray_levels():
     with pytest.raises(ValueError):
         TransitionSystem(store=store, current=(0,), nxt=(2,), relations=(),
                          sink=store.var(2))
+
+
+def test_transition_system_rejects_overlapping_levels():
+    store = BddStore(4)
+    with pytest.raises(ValueError, match="both current and next"):
+        TransitionSystem(store=store, current=(0, 1), nxt=(1, 0), relations=())
+
+
+def test_transition_system_rejects_repeated_levels():
+    store = BddStore(4)
+    with pytest.raises(ValueError, match="current variable list repeats a level"):
+        TransitionSystem(store=store, current=(0, 0), nxt=(1, 2), relations=())
+    with pytest.raises(ValueError, match="next variable list repeats a level"):
+        TransitionSystem(store=store, current=(0, 1), nxt=(2, 2), relations=())
+
+
+def test_transition_system_rejects_levels_outside_the_store():
+    store = BddStore(4)
+    with pytest.raises(ValueError, match=r"next variable list names levels \[4\]"):
+        TransitionSystem(store=store, current=(0, 1), nxt=(2, 4), relations=())
+    with pytest.raises(ValueError, match=r"current variable list names levels \[-1\]"):
+        TransitionSystem(store=store, current=(-1, 1), nxt=(2, 3), relations=())
 
 
 def test_strategy_parse_and_str():

@@ -262,13 +262,6 @@ class BddStore:
             return self.ite(a, -b, b)
         raise ValueError(f"unknown operation {op!r}, expected one of {_APPLY_OPS}")
 
-    def _varset_token(self, levels: frozenset[int]) -> int:
-        tok = self._varset_tokens.get(levels)
-        if tok is None:
-            tok = len(self._varset_tokens)
-            self._varset_tokens[levels] = tok
-        return tok
-
     def validate_levels(self, levels: Iterable[int]) -> frozenset[int]:
         """Check that every level names a store variable; returns them frozen."""
         q = frozenset(levels)
@@ -287,7 +280,7 @@ class BddStore:
         q = self.validate_levels(levels)
         if not q:
             return self.apply("and", f, g)
-        tok = self._varset_token(q)
+        tok = self._varset_tokens.setdefault(q, len(self._varset_tokens))
         return self._and_exists_rec(q, max(q), tok, f, g)
 
     def exists(self, levels: Iterable[int], f: int) -> int:
@@ -368,7 +361,9 @@ class BddStore:
         its renamed children raises ``ValueError``; for every mapping it
         accepts the result is the exact substitution.  Interleaved
         current/next state variables pass for the usual one-position
-        shifts.
+        shifts.  The nodes are rebuilt in one loop in slot order, which
+        puts every child before its parents, as the store only appends
+        nodes after their children; no cache is kept across calls.
         """
         levels: dict[int, int] = {}
         for k, v in mapping.items():
@@ -381,25 +376,13 @@ class BddStore:
             raise ValueError("rename mapping is not injective")
         if not levels:
             return f
-        tok = self._varset_token(frozenset(levels.items()))
-        return self._rename_rec(levels, tok, f)
-
-    def _rename_rec(self, levels: dict[int, int], tok: int, e: int) -> int:
-        if e == 1 or e == -1:
-            return e
-        key = ("rn", tok, e)
-        r = self._op_cache.get(key)
-        if r is not None:
-            return r
-        a = -e if e < 0 else e
-        lvl, t, el = self._nodes[a]
-        if e < 0:
-            t, el = -t, -el
-        r = self.mk_node(levels.get(lvl, lvl),
-                         self._rename_rec(levels, tok, t),
-                         self._rename_rec(levels, tok, el))
-        self._op_cache[key] = r
-        return r
+        nodes = self._nodes
+        renamed = {1: 1}
+        for slot in sorted(self.descendants(f)):
+            lvl, t, el = nodes[slot]
+            el = renamed[el] if el > 0 else -renamed[-el]
+            renamed[slot] = self.mk_node(levels.get(lvl, lvl), renamed[t], el)
+        return renamed[f] if f > 0 else -renamed[-f]
 
     def clear_caches(self) -> None:
         """Drop all memoization tables (results stay valid)."""
@@ -472,8 +455,9 @@ class BddStore:
             if self._level[slot] != lvl:
                 raise AssertionError(f"slot {slot}: level array says {self._level[slot]}, node {lvl}")
             for child in (t, el):
-                if not 1 <= abs(child) < len(self._nodes):
-                    raise AssertionError(f"slot {slot}: dangling edge {child}")
+                # rename relies on this: children sit in lower slots
+                if not 1 <= abs(child) < slot:
+                    raise AssertionError(f"slot {slot}: edge {child} to a dangling or higher slot")
                 if self.level_of_edge(child) <= lvl:
                     raise AssertionError(f"slot {slot}: order violation to {child}")
             if self._unique.get((lvl, t, el)) != slot:

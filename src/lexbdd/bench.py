@@ -49,10 +49,6 @@ class RunReport:
     solved: bool
     initial_value: tuple | None = field(default=None, compare=False)
 
-    @property
-    def layers_completed(self) -> int:
-        return len(self.rows)
-
 
 def run(config: RunConfig) -> RunReport:
     """Forward BFS then retrograde solve under one strategy and budget."""

@@ -93,23 +93,24 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
 
     def atom():
         tok = take()
+        negations = 0
+        while tok in _NOT:
+            negations += 1
+            tok = take()
         if tok == "(":
             f = implication()
             if peek() != ")":
                 raise GameSpecError(f"line {line_no}: missing closing parenthesis")
             take()
-            return f
-        if tok in _NOT:
-            return ("not", atom())
-        if tok == "0":
-            return ("const", False)
-        if tok == "1":
-            return ("const", True)
-        if tok in ("true", "false"):
-            return ("const", tok == "true")
-        if tok in known:
-            return ("var", tok)
-        raise GameSpecError(f"line {line_no}: unknown variable {tok!r}")
+        elif tok in ("0", "1", "true", "false"):
+            f = ("const", tok in ("1", "true"))
+        elif tok in known:
+            f = ("var", tok)
+        else:
+            raise GameSpecError(f"line {line_no}: unknown variable {tok!r}")
+        for _ in range(negations):
+            f = ("not", f)
+        return f
 
     def conjunction():
         f = atom()
@@ -126,10 +127,13 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
         return f
 
     def implication():
-        f = disjunction()
-        if peek() in _IMP:
+        operands = [disjunction()]
+        while peek() in _IMP:
             take()
-            return ("imp", f, implication())
+            operands.append(disjunction())
+        f = operands.pop()
+        while operands:
+            f = ("imp", operands.pop(), f)
         return f
 
     try:
@@ -302,15 +306,26 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
         return TRUE if formula[1] else FALSE
     if op == "var":
         return store.var(levels[formula[1]])
+    # the parser nests a run of negations, and an implication chain to the
+    # right, one level per operand; walk down each in a loop
     if op == "not":
-        return -_compile_formula(store, levels, formula[1])
+        sign = 1
+        while formula[0] == "not":
+            sign = -sign
+            formula = formula[1]
+        return sign * _compile_formula(store, levels, formula)
     if op == "imp":
-        a = _compile_formula(store, levels, formula[1])
-        return store.apply("or", -a, _compile_formula(store, levels, formula[2]))
+        premises = []
+        while formula[0] == "imp":
+            premises.append(_compile_formula(store, levels, formula[1]))
+            formula = formula[2]
+        result = _compile_formula(store, levels, formula)
+        for a in reversed(premises):
+            result = store.apply("or", -a, result)
+        return result
     if op not in ("and", "or"):
         raise ValueError(f"bad formula node {formula!r}")
-    # the parser nests a chain of one operator to the left, one level per
-    # operand; walk down it in a loop, then apply the operands left to right
+    # and an ``&`` or ``|`` chain to the left; apply its operands left to right
     operands = []
     while formula[0] == op:
         operands.append(formula[2])
@@ -464,9 +479,9 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     :class:`GameSolveError` naming the layer.
 
     The store's caches are dropped first: the forward search's entries
-    are keyed by quantify and rename tokens the backward walk never
-    looks up, and keeping them only raises peak memory.  After the last
-    layer, each class is joined over the layers into one value set (see
+    are keyed by quantify tokens the backward walk never looks up, and
+    keeping them only raises peak memory.  After the last layer, each
+    class is joined over the layers into one value set (see
     :class:`SolutionTable`), so that queries create no nodes.
     """
     if not layers.complete:
@@ -530,8 +545,8 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                     succ = layer_classes[d + 1].get(key, FALSE)
                     if succ == FALSE or mine == FALSE:
                         continue
-                    parts = strategy.parts_of(store, succ, ts.current)
-                    pred, sub_peak = _subimages(ts, parts, forward=False, relations=rels)
+                    pred, sub_peak = _subimages(ts, succ, strategy, forward=False,
+                                                relations=rels)
                     peak = max(peak, sub_peak)
                     newly = store.apply("and", mine, pred)
                     if newly != FALSE:

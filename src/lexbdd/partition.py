@@ -52,7 +52,7 @@ def split(store: BddStore, f: int, bits: Sequence,
     Descends the path of ``bits`` once.  At a node on the path the
     off-path child moves wholly to one side (a 0-cofactor is entirely
     below a cut with a 1 there, and vice versa) and the on-path child is
-    split recursively.  A position skipped by reduction behaves like a
+    split further down.  A position skipped by reduction behaves like a
     node whose both children are the current function.  Every created
     node goes through the unique table, so both results are reduced and
     at most two nodes per position are added to the shared store.
@@ -69,41 +69,35 @@ def split(store: BddStore, f: int, bits: Sequence,
     if not support <= pos_by_level.keys():
         raise ValueError(
             f"support {sorted(support)} not within split universe {list(levels)}")
-    return _split_walk(store, f, bits, levels, pos_by_level)
+    return _split_walk(store, f, bits, levels)
 
 
-def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...],
-                pos_by_level: dict[int, int]) -> SplitPair:
-    """The split itself, for a checked universe, cut and support."""
+def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...]) -> SplitPair:
+    """The split itself, for a checked universe, cut and support.
 
-    def aux(e: int, pos: int) -> tuple[int, int]:
-        if pos < pos_by_level[store.level_of_edge(e)]:
+    Walks down the cut's path once, keeping each position's level, cut
+    bit and off-path child, then builds both results bottom-up.
+    """
+    steps = []
+    e = f
+    for v, bit in zip(levels, bits):
+        if store.level_of_edge(e) == v:
+            _, t, el = store.node(e)
+            if e < 0:
+                t, el = -t, -el
+        else:
             # position skipped by reduction: both cofactors equal e
-            below_left, below_right = aux(e, pos + 1)
-            v = levels[pos]
-            if bits[pos]:
-                return (store.mk_node(v, below_left, e),
-                        store.mk_node(v, below_right, FALSE))
-            return (store.mk_node(v, FALSE, below_left),
-                    store.mk_node(v, e, below_right))
-        if e == 1 or e == -1:
-            # the cut's own suffix lands in the left part
-            return e, FALSE
-        lvl, t, el = store.node(e)
-        if e < 0:
-            t, el = -t, -el
-        if bits[pos]:
-            t_left, t_right = aux(t, pos + 1)
-            return (store.mk_node(lvl, t_left, el),
-                    store.mk_node(lvl, t_right, FALSE))
-        e_left, e_right = aux(el, pos + 1)
-        return (store.mk_node(lvl, FALSE, e_left),
-                store.mk_node(lvl, t, e_right))
-
-    try:
-        return SplitPair(*aux(f, 0))
-    finally:
-        del aux  # break aux's self-reference, as in precompute_counts
+            t = el = e
+        steps.append((v, bit, el if bit else t))
+        e = t if bit else el
+    # the cut's own suffix lands in the left part
+    left, right = e, FALSE
+    for v, bit, off in reversed(steps):
+        if bit:
+            left, right = store.mk_node(v, left, off), store.mk_node(v, right, FALSE)
+        else:
+            left, right = store.mk_node(v, FALSE, left), store.mk_node(v, off, right)
+    return SplitPair(left, right)
 
 
 def split_at_count(table: CountTable, m: int) -> SplitPair:
@@ -136,7 +130,7 @@ def _partition_at_positions(table: CountTable, positions: Sequence[int]) -> LexP
     # the whole-support check of split
     remainder = table.root
     for cut in cuts:
-        pair = _split_walk(store, remainder, cut, table.levels, table.pos)
+        pair = _split_walk(store, remainder, cut, table.levels)
         parts.append(pair.left)
         remainder = pair.right
     assert remainder == FALSE

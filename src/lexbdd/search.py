@@ -5,12 +5,14 @@ monolithically.  States without successors are kept out of the
 relations as a separate sink set, masked at image time.  An image
 distributes over both the action relations and an optional partition
 of the source set, computes one relational product per (action, part)
-pair and ORs each subimage into the image as it is made.  Forward
-subimages are merged over the next-state variables, where the
-relational product leaves them, and the merged image is renamed back
-to the current variables once.  The breadth-first search stores each
-depth layer as its own BDD and subtracts everything seen before, so
-layers are disjoint and layer index equals BFS depth.
+pair and ORs each subimage into the image as it is made.  Each image
+renames one set once: forward subimages are merged over the next-state
+variables, where the relational product leaves them, and the merged
+image is renamed back to the current variables; a backward source set
+is renamed to the next-state variables before it is partitioned.  The
+breadth-first search stores each depth layer as its own BDD and
+subtracts everything seen before, so layers are disjoint and layer
+index equals BFS depth.
 """
 
 from __future__ import annotations
@@ -184,35 +186,40 @@ class LayerSequence:
     complete: bool
 
 
-def _subimages(ts: TransitionSystem, parts: list[int], forward: bool,
-               relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
-    """Per-action, per-part relational products ORed into one set as they are made.
+def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStrategy,
+               forward: bool, relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
+    """Partition ``s`` and OR its per-action, per-part relational products into one set.
 
-    Forward masks the sink set out of each part and quantifies the
-    current variables; the pieces, over the next variables, are merged
-    there and the merged image is renamed back to the current variables
-    once.  Backward renames the sources first, quantifies the next
-    variables and masks the sink set out of each result.  Returns the
-    image and its peak: the largest diagram among the subimages and the
-    merged image, each sized once.  The peak does not depend on the
-    order of the parts or the actions.  In the interleaved order of
-    ``compile_game`` the forward rename moves every level one position
-    up and keeps their order, so a diagram has as many nodes over the
-    next variables as over the current ones.
+    Forward partitions ``s`` (a state set or its :class:`CountTable`),
+    masks the sink set out of each part and quantifies the current
+    variables; the pieces are merged over the next variables and the
+    merged image is renamed back once.  Backward renames ``s`` to the
+    next variables once, partitions it there, quantifies the next
+    variables and masks the sink set out of each result.  In the
+    interleaved order of ``compile_game`` a rename moves every level by
+    one position and keeps their order, so a renamed diagram has as many
+    nodes, and a partition of the renamed set is the renamed partition.
+    Returns the image and its peak: the largest diagram among the
+    subimages and the merged image, whatever the order of the parts and
+    the actions.
     """
     store = ts.store
     if relations is None:
         relations = ts.relations
-    quantified = set(ts.current) if forward else set(ts.nxt)
-    to_next = ts.to_next
     live = -ts.sink
+    if forward:
+        quantified = set(ts.current)
+        parts = [store.apply("and", part, live)
+                 for part in strategy.parts_of(store, s, ts.current)]
+    else:
+        quantified = set(ts.nxt)
+        parts = strategy.parts_of(store, store.rename(s, ts.to_next), ts.nxt)
     merged, peak = FALSE, 0
     for part in parts:
-        source = store.apply("and", part, live) if forward else store.rename(part, to_next)
-        if source == FALSE:
+        if part == FALSE:
             continue
         for rel in relations:
-            sub = store.and_exists(quantified, rel.edge, source)
+            sub = store.and_exists(quantified, rel.edge, part)
             if not forward:
                 sub = store.apply("and", sub, live)
             peak = max(peak, store.size(sub))
@@ -230,7 +237,7 @@ def image(ts: TransitionSystem, s: int,
     ``s`` is partitioned by ``strategy`` and the subimages of its parts
     are merged; the result does not depend on the strategy.
     """
-    result, _ = _subimages(ts, strategy.parts_of(ts.store, s, ts.current), forward=True)
+    result, _ = _subimages(ts, s, strategy, forward=True)
     return result
 
 
@@ -240,7 +247,7 @@ def preimage(ts: TransitionSystem, s: int,
 
     ``s`` is partitioned by ``strategy`` as in :func:`image`.
     """
-    result, _ = _subimages(ts, strategy.parts_of(ts.store, s, ts.current), forward=False)
+    result, _ = _subimages(ts, s, strategy, forward=False)
     return result
 
 
@@ -270,8 +277,7 @@ def layered_bfs(ts: TransitionSystem, init: int,
         if limits.nodes_exceeded(store):
             return LayerSequence(layers, stats, reached, complete=False)
         t0 = time.perf_counter()
-        parts = strategy.parts_of(store, table, ts.current)
-        successors, peak = _subimages(ts, parts, forward=True)
+        successors, peak = _subimages(ts, table, strategy, forward=True)
         frontier = store.apply("and", successors, -reached)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if frontier == FALSE:

@@ -140,6 +140,20 @@ def test_check_catches_a_stale_level_array():
         store.check()
 
 
+def test_check_catches_a_child_in_a_higher_slot():
+    store = BddStore(2)
+    child = store.var(1)
+    parent = store.mk_node(0, child, FALSE)
+    store.check()
+    # swap the two slots: levels, edges and the unique table stay
+    # consistent, but the parent now sits below its child
+    store._nodes[child], store._nodes[parent] = (0, parent, FALSE), (1, TRUE, FALSE)
+    store._level[child], store._level[parent] = 0, 1
+    store._unique = {(0, parent, FALSE): child, (1, TRUE, FALSE): parent}
+    with pytest.raises(AssertionError):
+        store.check()
+
+
 def test_exists_drops_an_independent_variable():
     store = BddStore(3)
     x, g = store.var(0), store.var(2)
@@ -259,6 +273,20 @@ def test_rename_rejects_order_breaking_map():
         store.rename(f, {0: 2, 1: 2})  # not injective
     with pytest.raises(ValueError):
         store.rename(f, {0: 2})  # 0 would sink below 1
+
+
+def test_rename_walks_deep_diagrams():
+    # a cube over the even levels of 3,000 variables, shifted one level down
+    n = 3000
+    store = BddStore(n)
+    rng = random.Random(5)
+    polarity = [rng.random() < 0.5 for _ in range(n // 2)]
+    even = store.cube({2 * i: p for i, p in enumerate(polarity)})
+    odd = store.cube({2 * i + 1: p for i, p in enumerate(polarity)})
+    shift = {2 * i: 2 * i + 1 for i in range(n // 2)}
+    assert store.rename(even, shift) == odd
+    assert store.rename(-even, shift) == -odd
+    store.check()
 
 
 def test_rename_accepts_maps_that_keep_every_node_above_its_children():

@@ -1,15 +1,12 @@
 """Split identities, structural budgets, and partition schemes."""
 
 import random
-import sys
 
 import pytest
 
 from lexbdd import BddStore, disj_var, fold_states_lex, precompute_counts, split, \
     split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.counting import universe
-from lexbdd.partition import _split_walk
 
 from helpers import all_assignments, check_lex_partition, corpus, \
     random_function, satisfying
@@ -93,34 +90,29 @@ def test_split_count_additivity():
         assert c_left + c_right == precompute_counts(store, f).root_count
 
 
-def test_split_recursion_depth():
-    # the walk's frames are counted from outside, by a profile hook
-    aux = next(c for c in _split_walk.__code__.co_consts
-               if getattr(c, "co_name", None) == "aux")
-    rng = random.Random(17)
-    for n in (4, 8, 12):
-        store, f, _ = random_function(rng, n)
-        cut = tuple(rng.randint(0, 1) for _ in range(n))
-        depth = max_depth = 0
-
-        def profile(frame, event, arg):
-            nonlocal depth, max_depth
-            if frame.f_code is not aux:
-                return
-            if event == "call":
-                depth += 1
-                max_depth = max(max_depth, depth)
-            elif event == "return":
-                depth -= 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            _split_walk(store, f, cut, *universe(store))
-        finally:
-            sys.setprofile(previous)
-        assert depth == 0
-        assert 1 <= max_depth <= n + 1
+def test_split_walks_deep_universes():
+    # a random diagram over 3,000 levels, built with mk_node alone, as the
+    # recursive kernels would not reach that deep; the oracle only evaluates
+    n = 3000
+    rng = random.Random(23)
+    store = BddStore(n)
+    recent = [TRUE, FALSE]
+    for level in range(n - 1, -1, -1):
+        then_edge, else_edge = rng.sample(recent[-4:], 2)
+        if rng.random() < 0.3:
+            else_edge = -else_edge
+        recent.append(store.mk_node(level, then_edge, else_edge))
+    f = recent[-1]
+    cut = tuple(rng.randint(0, 1) for _ in range(n))
+    pair = split(store, f, cut)
+    for _ in range(200):
+        # share a random prefix with the cut, so the comparison is decided deep
+        k = rng.randint(0, n)
+        x = cut[:k] + tuple(rng.randint(0, 1) for _ in range(n - k))
+        inside = store.evaluate(f, x)
+        assert store.evaluate(pair.left, x) == (inside and x <= cut)
+        assert store.evaluate(pair.right, x) == (inside and x > cut)
+    store.check()
 
 
 def test_split_at_count_boundaries():

@@ -77,7 +77,9 @@ def test_image_distributes_over_partitions(counter):
 def _subimages_reference(ts, parts, forward):
     """Reference image: every piece over the current variables, folded with OR.
 
-    The peak is the largest diagram among the pieces and the image.
+    ``parts`` partition the set over the current variables, and each is
+    renamed on its own.  The peak is the largest diagram among the
+    pieces and the image.
     """
     store = ts.store
     quantified = set(ts.current) if forward else set(ts.nxt)
@@ -105,7 +107,7 @@ def test_forward_subimages_rename_once_with_the_same_peak(name):
         for layer in layers.layers:
             parts = strategy.parts_of(store, layer, ts.current)
             for forward in (True, False):
-                assert _subimages(ts, parts, forward=forward) == \
+                assert _subimages(ts, layer, strategy, forward=forward) == \
                     _subimages_reference(ts, parts, forward)
         solve(ts, spec, layers, strategy)
         store.check()

@@ -271,41 +271,55 @@ class BddStore:
             raise ValueError(f"levels {sorted(bad)} are not store variables (n={n})")
         return q
 
-    def and_exists(self, levels: Iterable[int], f: int, g: int) -> int:
-        """Relational product: ``exists(levels, f and g)`` without the full conjunction.
+    def and_exists(self, levels: Iterable[int], f: int, g: int, c: int = TRUE) -> int:
+        """Relational product: ``exists(levels, f and g and c)`` without the full conjunction.
 
-        This is the store's only quantification kernel; :meth:`exists`
-        calls it with ``g = TRUE``.
+        ``c`` is a care set: the product is taken only where ``c`` holds,
+        and a branch on which ``c`` is ``FALSE`` is cut off before it is
+        expanded.  ``c`` may depend on quantified levels too; the result
+        is the exact ternary product, not an approximation.  This is the
+        store's only quantification kernel; :meth:`exists` calls it with
+        ``g = c = TRUE``.
         """
         q = self.validate_levels(levels)
         if not q:
-            return self.apply("and", f, g)
+            return self.apply("and", self.apply("and", f, g), c)
         tok = self._varset_tokens.setdefault(q, len(self._varset_tokens))
-        return self._and_exists_rec(q, max(q), tok, f, g)
+        return self._and_exists_rec(q, max(q), tok, f, g, c)
 
     def exists(self, levels: Iterable[int], f: int) -> int:
         """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
         return self.and_exists(levels, f, TRUE)
 
-    def _and_exists_rec(self, q: frozenset[int], maxq: int, tok: int, f: int, g: int) -> int:
-        if f == -1 or g == -1 or f == -g:
+    def _and_exists_rec(self, q: frozenset[int], maxq: int, tok: int,
+                        f: int, g: int, c: int) -> int:
+        if f == -1 or g == -1 or c == -1 or f == -g:
             return FALSE
         if f == g:
             g = TRUE
-        if f == 1 and g == 1:
+        if c == f or c == g:
+            c = TRUE
+        elif c == -f or c == -g:
+            return FALSE
+        if f == 1 and g == 1 and c == 1:
             return TRUE
         if g < f:
             f, g = g, f
         levels = self._level
         af = f if f > 0 else -f
         ag = g if g > 0 else -g
+        ac = c if c > 0 else -c
         lf = levels[af]
         lg = levels[ag]
+        lc = levels[ac]
         top = lf if lf < lg else lg
+        if lc < top:
+            top = lc
         if top > maxq:
             # no quantified variable can occur below this level
-            return self.ite(f, g, FALSE)
-        key = ("ae", tok, f, g)
+            r = self.ite(f, g, FALSE)
+            return r if c == 1 else self.apply("and", r, c)
+        key = ("ae", tok, f, g, c)
         r = self._op_cache.get(key)
         if r is not None:
             return r
@@ -324,16 +338,23 @@ class BddStore:
                 g0 = -g0
         else:
             g1 = g0 = g
+        if lc == top:
+            _, c1, c0 = nodes[ac]
+            if c < 0:
+                c1 = -c1
+                c0 = -c0
+        else:
+            c1 = c0 = c
         if top in q:
-            r0 = self._and_exists_rec(q, maxq, tok, f0, g0)
+            r0 = self._and_exists_rec(q, maxq, tok, f0, g0, c0)
             if r0 == TRUE:
                 r = TRUE
             else:
-                r1 = self._and_exists_rec(q, maxq, tok, f1, g1)
+                r1 = self._and_exists_rec(q, maxq, tok, f1, g1, c1)
                 r = self.ite(r1, TRUE, r0)
         else:
-            r1 = self._and_exists_rec(q, maxq, tok, f1, g1)
-            r0 = self._and_exists_rec(q, maxq, tok, f0, g0)
+            r1 = self._and_exists_rec(q, maxq, tok, f1, g1, c1)
+            r0 = self._and_exists_rec(q, maxq, tok, f0, g0, c0)
             # mk_node inline, as in ite
             if r1 == r0:
                 r = r1

@@ -475,8 +475,12 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     belong to the player who can move in them and are classified in that
     player's preference order: each class receives the still-unassigned
     states that can reach an already-classified successor of that class.
-    A state left over after all classes is a spec defect and raises
-    :class:`GameSolveError` naming the layer.
+    Each such preimage is taken with the player's still-unassigned
+    states of the layer as the care set of the relational product, so
+    it never leaves them (nor meets the sink set) and needs no AND with
+    them afterwards; a player's class loop stops once every state is
+    assigned.  A state left over after all classes is a spec defect and
+    raises :class:`GameSolveError` naming the layer.
 
     The store's caches are dropped first: the forward search's entries
     are keyed by quantify tokens the backward walk never looks up, and
@@ -542,15 +546,17 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                         f"layer {d}: both players can move in the same state")
                 movers = store.apply("or", movers, mine)
                 for key in prefs[p]:
+                    if mine == FALSE:
+                        break
                     succ = layer_classes[d + 1].get(key, FALSE)
-                    if succ == FALSE or mine == FALSE:
+                    if succ == FALSE:
                         continue
+                    # restricted to mine inside the product, so pred <= mine
                     pred, sub_peak = _subimages(ts, succ, strategy, forward=False,
-                                                relations=rels)
+                                                relations=rels, care=mine)
                     peak = max(peak, sub_peak)
-                    newly = store.apply("and", mine, pred)
-                    if newly != FALSE:
-                        classes[key] = store.apply("or", classes[key], newly)
+                    if pred != FALSE:
+                        classes[key] = store.apply("or", classes[key], pred)
                         mine = store.apply("and", mine, -pred)
                 if mine != FALSE:
                     raise GameSolveError(

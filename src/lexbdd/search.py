@@ -2,7 +2,9 @@
 
 The transition relation is kept as one BDD per action and never built
 monolithically.  States without successors are kept out of the
-relations as a separate sink set, masked at image time.  An image
+relations as a separate sink set: it is masked out of each forward
+source part, and a backward product excludes it through its care set,
+during the product rather than after it.  An image
 distributes over both the action relations and an optional partition
 of the source set, computes one relational product per (action, part)
 pair and ORs each subimage into the image as it is made.  Each image
@@ -20,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bdd import FALSE, BddStore
+from .bdd import FALSE, TRUE, BddStore
 from .counting import CountTable, precompute_counts
 from .partition import disj_var, fold_states_lex, states_lex_bounded
 
@@ -187,41 +189,45 @@ class LayerSequence:
 
 
 def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStrategy,
-               forward: bool, relations: tuple[Relation, ...] | None = None) -> tuple[int, int]:
+               forward: bool, relations: tuple[Relation, ...] | None = None,
+               care: int | None = None) -> tuple[int, int]:
     """Partition ``s`` and OR its per-action, per-part relational products into one set.
 
     Forward partitions ``s`` (a state set or its :class:`CountTable`),
     masks the sink set out of each part and quantifies the current
     variables; the pieces are merged over the next variables and the
     merged image is renamed back once.  Backward renames ``s`` to the
-    next variables once, partitions it there, quantifies the next
-    variables and masks the sink set out of each result.  In the
-    interleaved order of ``compile_game`` a rename moves every level by
-    one position and keeps their order, so a renamed diagram has as many
-    nodes, and a partition of the renamed set is the renamed partition.
-    Returns the image and its peak: the largest diagram among the
-    subimages and the merged image, whatever the order of the parts and
-    the actions.
+    next variables once, partitions it there and quantifies the next
+    variables in a ternary product with ``care``, a set over the current
+    variables (default: every state outside the sink set; forward
+    ignores it), so each preimage is restricted to ``care`` as it is
+    built and is never taken over the whole state space.  In the
+    interleaved order of ``compile_game`` a rename moves every level
+    by one position and keeps their order, so a renamed diagram has as
+    many nodes, and a partition of the renamed set is the renamed
+    partition.  Returns the image and its peak: the largest diagram
+    among the subimages and the merged image, whatever the order of the
+    parts and the actions.
     """
     store = ts.store
     if relations is None:
         relations = ts.relations
-    live = -ts.sink
     if forward:
         quantified = set(ts.current)
-        parts = [store.apply("and", part, live)
+        parts = [store.apply("and", part, -ts.sink)
                  for part in strategy.parts_of(store, s, ts.current)]
+        care = TRUE
     else:
         quantified = set(ts.nxt)
         parts = strategy.parts_of(store, store.rename(s, ts.to_next), ts.nxt)
+        if care is None:
+            care = -ts.sink
     merged, peak = FALSE, 0
     for part in parts:
         if part == FALSE:
             continue
         for rel in relations:
-            sub = store.and_exists(quantified, rel.edge, part)
-            if not forward:
-                sub = store.apply("and", sub, live)
+            sub = store.and_exists(quantified, rel.edge, part, care)
             peak = max(peak, store.size(sub))
             merged = store.apply("or", merged, sub)
     peak = max(peak, store.size(merged))

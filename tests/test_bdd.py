@@ -250,6 +250,59 @@ def test_and_exists_terminal_cases_match_enumeration():
     assert store.exists([1], FALSE) == FALSE
 
 
+def _ternary_expected(tables, qvars):
+    f_table, g_table, c_table = tables
+    conj = [a and b and c for a, b, c in zip(f_table, g_table, c_table)]
+    return _projected(conj, 10, qvars)
+
+
+def test_ternary_and_exists_matches_enumeration():
+    # the care set either depends on quantified levels or is free of them
+    rng = random.Random(31)
+    for i in range(40):
+        store, f, f_table = random_function(rng, 10, density=rng.choice((0.3, 0.5, 0.8)),
+                                            complemented=i % 2 == 1)
+        g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
+        g = store.from_truth_table(g_table)
+        qvars = rng.sample(range(10), rng.randint(1, 6))
+        c_table = [rng.random() < rng.choice((0.3, 0.7)) for _ in range(1 << 10)]
+        if i % 4 >= 2:
+            c_table = [not v for v in _projected([not v for v in c_table], 10, qvars)]
+        c = store.from_truth_table(c_table)
+        assert (store.support_levels(c) & set(qvars) == set()) == (i % 4 >= 2)
+        for c_edge, table in ((c, c_table), (-c, [not v for v in c_table])):
+            r = store.and_exists(qvars, f, g, c_edge)
+            assert _table_of(store, r, 10) == _ternary_expected((f_table, g_table, table), qvars)
+            assert r == store.and_exists(qvars, store.apply("and", f, c_edge), g)
+        store.check()
+
+
+def test_ternary_and_exists_terminal_cases_match_enumeration():
+    # a constant care set, or one equal or complementary to an operand
+    rng = random.Random(37)
+    for i in range(10):
+        store, f, f_table = random_function(rng, 10, complemented=i % 2 == 1)
+        g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
+        g = store.from_truth_table(g_table)
+        not_f = [not v for v in f_table]
+        not_g = [not v for v in g_table]
+        cares = ((TRUE, [True] * 1024), (FALSE, [False] * 1024), (f, f_table),
+                 (-f, not_f), (g, g_table), (-g, not_g))
+        for qvars in (rng.sample(range(10), rng.randint(1, 6)), []):
+            for c, c_table in cares:
+                for a, b, tables in ((f, g, (f_table, g_table)), (g, f, (g_table, f_table))):
+                    r = store.and_exists(qvars, a, b, c)
+                    assert _table_of(store, r, 10) == \
+                        _ternary_expected((*tables, c_table), qvars)
+        store.check()
+    store = BddStore(3)
+    x = store.var(1)
+    assert store.and_exists([1], TRUE, TRUE, x) == TRUE
+    assert store.and_exists([0], TRUE, TRUE, x) == x
+    assert store.and_exists([], TRUE, TRUE, x) == x
+    assert store.and_exists([1], x, TRUE, -x) == FALSE
+
+
 def test_rename_identity_and_inverse():
     store = BddStore(4)
     f = store.apply("xor", store.var(0), store.var(2))

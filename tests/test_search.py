@@ -114,6 +114,26 @@ def test_forward_subimages_rename_once_with_the_same_peak(name):
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
+def test_backward_subimages_are_restricted_to_the_care_set(name):
+    spec = load_game(bundled_game_path(name))
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        ts = compile_game(spec)
+        store = ts.store
+        strategy = PartitionStrategy.parse(text)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy).layers
+        for d, layer in enumerate(layers):
+            movers = store.apply("and", layer, -ts.sink)
+            for s in layers[d:d + 2]:
+                whole, _ = _subimages(ts, s, strategy, forward=False, care=TRUE)
+                assert _subimages(ts, s, strategy, forward=False, care=movers)[0] == \
+                    store.apply("and", movers, whole)
+                # by default a preimage is restricted to the states outside the sink set
+                assert _subimages(ts, s, strategy, forward=False)[0] == \
+                    store.apply("and", -ts.sink, whole)
+        store.check()
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
 def test_peak_does_not_depend_on_action_order(name):
     spec = load_game(bundled_game_path(name))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):

@@ -21,8 +21,8 @@ and the result.  ``ite(f, g, h)``, ``ite(not f, h, g)`` and
 ``ite`` and the unquantified levels of the relational product make
 their nodes inline, with the reduction rule, complement normalisation
 and unique-table lookup of ``mk_node`` but not its ordering check:
-their children are built from cofactors below the node's level, and
-``check`` re-verifies the whole store.  ``ite`` leaves out the
+their children are built from cofactors below the node's level (level
+maps that keep the order, in the product), and ``check`` re-verifies.  ``ite`` leaves out the
 normalisation too, as its Then-result is always regular (see there).
 
 All BDDs in one store share a single fixed variable order.  Variables
@@ -67,7 +67,8 @@ class BddStore:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
         self._op_cache: dict[tuple, int] = {}
-        self._varset_tokens: dict[frozenset[int], int] = {}
+        # (levels, read map, write map) -> cache token and per-level tables
+        self._products: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -271,52 +272,72 @@ class BddStore:
             raise ValueError(f"levels {sorted(bad)} are not store variables (n={n})")
         return q
 
-    def and_exists(self, levels: Iterable[int], f: int, g: int, c: int = TRUE) -> int:
+    def and_exists(self, levels: Iterable[int], f: int, g: int, c: int = TRUE,
+                   read: Mapping[int, int] | None = None,
+                   write: Mapping[int, int] | None = None) -> int:
         """Relational product: ``exists(levels, f and g and c)`` without the full conjunction.
 
         ``c`` is a care set: the product is taken only where ``c`` holds,
         and a branch on which ``c`` is ``FALSE`` is cut off before it is
         expanded.  ``c`` may depend on quantified levels too; the result
-        is the exact ternary product, not an approximation.  This is the
-        store's only quantification kernel; :meth:`exists` calls it with
-        ``g = c = TRUE``.
+        is the exact ternary product, not an approximation.
+
+        Level maps save a :meth:`rename`: ``g``'s node at level ``l`` acts
+        as one at ``read[l]``, and a result node at level ``l`` is made at
+        ``write[l]``; ``levels`` are taken between the two.  A map that
+        would reorder two levels raises ``ValueError``; two levels a map
+        sends to one must not both occur (in ``g``, or in the result).
+        This is the store's only quantification kernel; :meth:`exists`
+        calls it with ``g = c = TRUE``.
         """
         q = self.validate_levels(levels)
-        if not q:
+        read, write = (tuple(sorted((k, v) for k, v in (m or {}).items() if k != v))
+                       for m in (read, write))
+        if not (q or read or write):
             return self.apply("and", self.apply("and", f, g), c)
-        tok = self._varset_tokens.setdefault(q, len(self._varset_tokens))
-        return self._and_exists_rec(q, max(q), tok, f, g, c)
+        product = self._products.get((q, read, write))
+        if product is None:
+            moved = self.validate_levels(lvl for pair in read + write for lvl in pair)
+            rlev, wlev = ([dict(m).get(lvl, lvl) for lvl in range(len(self._names) + 1)]
+                          for m in (read, write))
+            if any(a > b for m in (rlev, wlev) for a, b in zip(m, m[1:])):
+                raise ValueError(f"level map {dict(read)} or {dict(write)} reorders levels")
+            quant = [lvl in q for lvl in range(len(rlev))]
+            product = (len(self._products), quant, rlev, wlev, max(q | moved), bool(read))
+            self._products[q, read, write] = product
+        return self._and_exists_rec(product, f, g, c)
 
     def exists(self, levels: Iterable[int], f: int) -> int:
         """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
         return self.and_exists(levels, f, TRUE)
 
-    def _and_exists_rec(self, q: frozenset[int], maxq: int, tok: int,
-                        f: int, g: int, c: int) -> int:
-        if f == -1 or g == -1 or c == -1 or f == -g:
+    def _and_exists_rec(self, product: tuple, f: int, g: int, c: int) -> int:
+        tok, quant, rlev, wlev, maxm, mapped = product
+        # a mapped g is not the function its edge names: no compare, no swap
+        if f == -1 or g == -1 or c == -1 or (f == -g and not mapped):
             return FALSE
-        if f == g:
+        if f == g and not mapped:
             g = TRUE
-        if c == f or c == g:
+        if c == f or (c == g and not mapped):
             c = TRUE
-        elif c == -f or c == -g:
+        elif c == -f or (c == -g and not mapped):
             return FALSE
         if f == 1 and g == 1 and c == 1:
             return TRUE
-        if g < f:
+        if g < f and not mapped:
             f, g = g, f
         levels = self._level
         af = f if f > 0 else -f
         ag = g if g > 0 else -g
         ac = c if c > 0 else -c
         lf = levels[af]
-        lg = levels[ag]
+        lg = rlev[levels[ag]]
         lc = levels[ac]
         top = lf if lf < lg else lg
         if lc < top:
             top = lc
-        if top > maxq:
-            # no quantified variable can occur below this level
+        if top > maxm:
+            # no quantified or mapped variable can occur below this level
             r = self.ite(f, g, FALSE)
             return r if c == 1 else self.apply("and", r, c)
         key = ("ae", tok, f, g, c)
@@ -345,29 +366,30 @@ class BddStore:
                 c0 = -c0
         else:
             c1 = c0 = c
-        if top in q:
-            r0 = self._and_exists_rec(q, maxq, tok, f0, g0, c0)
+        if quant[top]:
+            r0 = self._and_exists_rec(product, f0, g0, c0)
             if r0 == TRUE:
                 r = TRUE
             else:
-                r1 = self._and_exists_rec(q, maxq, tok, f1, g1, c1)
+                r1 = self._and_exists_rec(product, f1, g1, c1)
                 r = self.ite(r1, TRUE, r0)
         else:
-            r1 = self._and_exists_rec(q, maxq, tok, f1, g1, c1)
-            r0 = self._and_exists_rec(q, maxq, tok, f0, g0, c0)
-            # mk_node inline, as in ite
+            r1 = self._and_exists_rec(product, f1, g1, c1)
+            r0 = self._and_exists_rec(product, f0, g0, c0)
+            # mk_node inline, as in ite, at the written level
             if r1 == r0:
                 r = r1
             else:
+                lvl = wlev[top]
                 if r1 < 0:
-                    node = (top, -r1, -r0)
+                    node = (lvl, -r1, -r0)
                 else:
-                    node = (top, r1, r0)
+                    node = (lvl, r1, r0)
                 r = self._unique.get(node)
                 if r is None:
                     r = len(nodes)
                     nodes.append(node)
-                    levels.append(top)
+                    levels.append(lvl)
                     self._unique[node] = r
                 if r1 < 0:
                     r = -r

@@ -16,7 +16,8 @@ implication (``->`` or ``→``), parentheses and the constants ``0`` and
 may be empty or absent; unassigned variables keep their value.
 
 Compilation produces one transition relation per action over an
-interleaved current/next variable order, and a sink set of terminal
+interleaved current/next variable order, without frame axioms for the
+variables the action leaves alone, and a sink set of terminal
 states that image computation masks out, so they have no outgoing
 transitions.  Solving classifies every forward layer by game value,
 walking backward from the last layer and assigning each state the best
@@ -341,8 +342,9 @@ def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSys
 
     Current and next copies of each variable are interleaved in the
     order, which keeps the per-action relations small.  Each relation is
-    the precondition, effect biconditionals and frame axioms for the
-    untouched variables; the terminal formula becomes the ``sink`` set.
+    the precondition and one biconditional per written variable, with no
+    frame axioms: the image products keep every other variable (see
+    :class:`Relation`).  The terminal formula becomes the ``sink`` set.
     """
     names = []
     for v in spec.variables:
@@ -358,13 +360,15 @@ def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSys
     relations = []
     for action in spec.actions:
         effect_map = dict(action.effects)
+        written = [v for v in spec.variables if v in effect_map]
         trans = _compile_formula(store, cur, action.precondition)
         # conjoin bottom-up: deeper biconditionals first keeps intermediates small
-        for v in reversed(spec.variables):
-            rhs = _compile_formula(store, cur, effect_map.get(v, ("var", v)))
+        for v in reversed(written):
+            rhs = _compile_formula(store, cur, effect_map[v])
             bicond = store.ite(store.var(nxt[v]), rhs, -rhs)
             trans = store.apply("and", trans, bicond)
-        relations.append(Relation(name=action.name, edge=trans, player=action.player))
+        relations.append(Relation(name=action.name, edge=trans, player=action.player,
+                                  written=tuple(cur[v] for v in written)))
     return TransitionSystem(store=store,
                             current=tuple(cur[v] for v in spec.variables),
                             nxt=tuple(nxt[v] for v in spec.variables),

@@ -1,18 +1,19 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
 The transition relation is kept as one BDD per action and never built
-monolithically.  States without successors are kept out of the
-relations as a separate sink set: it is masked out of each forward
-source part, and a backward product excludes it through its care set,
-during the product rather than after it.  An image
+monolithically.  A relation holds no frame axioms: it constrains only
+the next copies of the variables its action writes, and every other
+variable keeps its value implicitly.  States without successors are
+kept out of the relations as a separate sink set: it is masked out of
+each forward source part, and a backward product excludes it through
+its care set, during the product rather than after it.  An image
 distributes over both the action relations and an optional partition
 of the source set, computes one relational product per (action, part)
-pair and ORs each subimage into the image as it is made.  Each image
-renames one set once: forward subimages are merged over the next-state
-variables, where the relational product leaves them, and the merged
-image is renamed back to the current variables; a backward source set
-is renamed to the next-state variables before it is partitioned.  The
-breadth-first search stores each depth layer as its own BDD and
+pair and ORs each subimage into the image as it is made.  Each product
+quantifies only the levels its action writes and moves the written
+variables between their current and next copies itself, so every
+subimage comes out over the current variables and nothing is renamed.
+The breadth-first search stores each depth layer as its own BDD and
 subtracts everything seen before, so layers are disjoint and layer
 index equals BFS depth.
 """
@@ -31,10 +32,16 @@ STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
 
 @dataclass(frozen=True)
 class Relation:
-    """One action's transition relation over current and next variables."""
+    """One action's transition relation over current and next variables.
+
+    ``written`` holds the current levels of the variables the action
+    writes; ``edge`` has no frame axioms, so every other variable keeps
+    its value.  ``None`` means all, for an edge with its own frame.
+    """
     name: str
     edge: int
     player: int | None = None
+    written: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -71,17 +78,22 @@ class TransitionSystem:
                 raise ValueError(
                     f"relation {rel.name} mentions non-state levels "
                     f"{sorted(support - allowed)}")
+            if rel.written is not None:
+                odd = set(rel.written) - set(self.current)
+                if odd:
+                    raise ValueError(f"relation {rel.name} writes non-current levels {sorted(odd)}")
+                leak = support & {x for c, x in zip(self.current, self.nxt) if c not in rel.written}
+                if leak:
+                    raise ValueError(f"relation {rel.name} mentions next levels {sorted(leak)} "
+                                     "it does not write")
         stray = self.store.support_levels(self.sink) - set(self.current)
         if stray:
             raise ValueError(f"sink set mentions non-current levels {sorted(stray)}")
-
-    @property
-    def to_next(self) -> dict[int, int]:
-        return dict(zip(self.current, self.nxt))
-
-    @property
-    def to_current(self) -> dict[int, int]:
-        return dict(zip(self.nxt, self.current))
+        # a product moves each written variable between its two levels
+        for c, x in zip(self.current, self.nxt):
+            if abs(c - x) != 1:
+                raise ValueError(f"levels {list(range(min(c, x) + 1, max(c, x)))} lie "
+                                 f"between current level {c} and next level {x}")
 
 
 @dataclass(frozen=True)
@@ -193,46 +205,47 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
                care: int | None = None) -> tuple[int, int]:
     """Partition ``s`` and OR its per-action, per-part relational products into one set.
 
-    Forward partitions ``s`` (a state set or its :class:`CountTable`),
-    masks the sink set out of each part and quantifies the current
-    variables; the pieces are merged over the next variables and the
-    merged image is renamed back once.  Backward renames ``s`` to the
-    next variables once, partitions it there and quantifies the next
-    variables in a ternary product with ``care``, a set over the current
-    variables (default: every state outside the sink set; forward
-    ignores it), so each preimage is restricted to ``care`` as it is
-    built and is never taken over the whole state space.  In the
-    interleaved order of ``compile_game`` a rename moves every level
-    by one position and keeps their order, so a renamed diagram has as
-    many nodes, and a partition of the renamed set is the renamed
-    partition.  Returns the image and its peak: the largest diagram
-    among the subimages and the merged image, whatever the order of the
-    parts and the actions.
+    ``s`` (a state set or its :class:`CountTable`) is partitioned over
+    the current variables.  Forward masks the sink set out of each part,
+    quantifies the current levels the action writes and makes each
+    written next level at its current level.  Backward reads the part's
+    written current levels as next levels, quantifies those, and takes
+    the ternary product with ``care``, a set over the current variables
+    (default: every state outside the sink set; forward ignores it), so
+    each preimage is restricted to ``care`` as it is built and is never
+    taken over the whole state space.  An action that writes nothing is
+    a plain conjunction.  Every subimage comes out over the current
+    variables, the same function, and so of the same size, as a framed
+    product renamed back.  Returns the image and its peak: the largest
+    diagram among the subimages and the merged image, whatever the order
+    of the parts and the actions.
     """
     store = ts.store
     if relations is None:
         relations = ts.relations
     if forward:
-        quantified = set(ts.current)
         parts = [store.apply("and", part, -ts.sink)
                  for part in strategy.parts_of(store, s, ts.current)]
         care = TRUE
     else:
-        quantified = set(ts.nxt)
-        parts = strategy.parts_of(store, store.rename(s, ts.to_next), ts.nxt)
+        parts = strategy.parts_of(store, s, ts.current)
         if care is None:
             care = -ts.sink
+    products = []  # (edge, quantified levels, read map, write map) per action
+    for rel in relations:
+        shift = {w: x for w, x in zip(ts.current, ts.nxt)
+                 if rel.written is None or w in rel.written}
+        back = {x: w for w, x in shift.items()}
+        products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
     merged, peak = FALSE, 0
     for part in parts:
         if part == FALSE:
             continue
-        for rel in relations:
-            sub = store.and_exists(quantified, rel.edge, part, care)
+        for edge, quantified, read, write in products:
+            sub = store.and_exists(quantified, edge, part, care, read, write)
             peak = max(peak, store.size(sub))
             merged = store.apply("or", merged, sub)
     peak = max(peak, store.size(merged))
-    if forward:
-        merged = store.rename(merged, ts.to_current)
     return merged, peak
 
 

@@ -303,6 +303,84 @@ def test_ternary_and_exists_terminal_cases_match_enumeration():
     assert store.and_exists([1], x, TRUE, -x) == FALSE
 
 
+def _read_through(table, n, mapping):
+    """Truth table of ``table`` with its variable ``l`` read at level ``mapping[l]``."""
+    out = []
+    for bits in all_assignments(n):
+        index = 0
+        for lvl in range(n):
+            index = 2 * index + bits[mapping.get(lvl, lvl)]
+        out.append(table[index])
+    return out
+
+
+def test_mapped_and_exists_matches_enumeration():
+    # g read through one map, the result written through another; each map
+    # moves a variable to its neighbour, as between current and next copies
+    rng = random.Random(41)
+    n = 10
+    for i in range(36):
+        pairs = [(2 * k, 2 * k + 1)[::rng.choice((1, -1))] for k in rng.sample(range(5), 4)]
+        read = dict(pairs[:rng.randint(0 if i % 3 else 1, 2)])
+        write = dict(pairs[2:2 + rng.randint(0 if i % 3 != 1 else 1, 2)])
+        tables = [[rng.random() < 0.5 for _ in range(1 << n)] for _ in range(3)]
+        if i % 4 == 3:
+            # no quantified level: no operand may meet a written level's target
+            levels = []
+            tables = [_projected(t, n, write.values()) for t in tables]
+        else:
+            levels = rng.sample(range(n), rng.randint(1, 4)) + list(write.values())
+        f_table, g_table, c_table = tables
+        # g must not meet the level a read map sends one of its levels to
+        g_table = _projected(g_table, n, read.values())
+        if i % 2:
+            c_table = [True] * (1 << n)
+        store = BddStore(n)
+        f, g, c = (store.from_truth_table(t) for t in (f_table, g_table, c_table))
+        # one store, so a cache line shared by two of these products would show
+        for rd, wr in ((read, write), (read, {}), ({}, write), ({}, {})):
+            conj = [a and b and d for a, b, d in
+                    zip(f_table, _read_through(g_table, n, rd), c_table)]
+            expected = _read_through(_projected(conj, n, levels), n, wr)
+            r = store.and_exists(levels, f, g, c, rd, wr)
+            assert _table_of(store, r, n) == expected, (rd, wr, levels)
+        store.check()
+
+
+def test_mapped_and_exists_reads_f_and_g_apart():
+    # f == g or f == -g as edges is not the same function once g is read through a map
+    rng = random.Random(43)
+    n = 9
+    for i in range(12):
+        store, f, f_table = random_function(rng, n, complemented=i % 2 == 1)
+        read = {lvl: lvl + 1 for lvl in (0, 4)}
+        g_table = _projected(f_table, n, read.values())
+        g = store.from_truth_table(g_table)
+        levels = rng.sample(range(n), rng.randint(0, 3))
+        for sign in (1, -1):
+            read_g = _read_through([v == (sign == 1) for v in g_table], n, read)
+            conj = [a and b for a, b in zip(g_table, read_g)]
+            r = store.and_exists(levels, g, sign * g, TRUE, read)
+            assert _table_of(store, r, n) == _projected(conj, n, levels)
+            # and as the care set
+            r = store.and_exists(levels, TRUE, sign * g, g, read)
+            assert _table_of(store, r, n) == _projected(conj, n, levels)
+        store.check()
+
+
+def test_and_exists_rejects_a_map_that_reorders_levels():
+    store = BddStore(4)
+    x = store.var(0)
+    for read, write in (({0: 3}, None), (None, {3: 0}), ({1: 2, 2: 1}, None)):
+        with pytest.raises(ValueError, match="reorders levels"):
+            store.and_exists([1], x, x, TRUE, read, write)
+    with pytest.raises(ValueError):
+        store.and_exists([1], x, x, TRUE, {0: 4})
+    # a level sent to its neighbour keeps every other level in order
+    assert store.and_exists([], TRUE, x, TRUE, {0: 1}) == store.var(1)
+    assert store.and_exists([0], x, store.var(1), TRUE, None, {1: 0}) == x
+
+
 def test_rename_identity_and_inverse():
     store = BddStore(4)
     f = store.apply("xor", store.var(0), store.var(2))

@@ -1,7 +1,9 @@
 """Image algebra, layered BFS, and partition strategies."""
 
 import dataclasses
+import itertools
 import math
+import random
 
 import pytest
 
@@ -74,9 +76,21 @@ def test_image_distributes_over_partitions(counter):
         assert image(ts, s, strategy) == whole
 
 
-def _subimages_reference(ts, parts, forward):
-    """Reference image: every piece over the current variables, folded with OR.
+def _framed(ts, rel):
+    """``rel.edge`` with a frame axiom ``u' <-> u`` for every variable it does not write."""
+    store = ts.store
+    edge = rel.edge
+    for u, x in zip(ts.current, ts.nxt):
+        if rel.written is not None and u not in rel.written:
+            edge = store.apply("and", edge, store.ite(store.var(x), store.var(u), -store.var(u)))
+    return edge
 
+
+def _subimages_reference(ts, parts, forward):
+    """Reference image: framed relations, every piece over the current variables, folded with OR.
+
+    Each relation gets its frame axioms back and is used with the plain
+    product over all current (forward) or next (backward) variables.
     ``parts`` partition the set over the current variables, and each is
     renamed on its own.  The peak is the largest diagram among the
     pieces and the image.
@@ -85,10 +99,11 @@ def _subimages_reference(ts, parts, forward):
     quantified = set(ts.current) if forward else set(ts.nxt)
     pieces = []
     for part in parts:
-        source = store.apply("and", part, -ts.sink) if forward else store.rename(part, ts.to_next)
+        source = store.apply("and", part, -ts.sink) if forward \
+            else store.rename(part, dict(zip(ts.current, ts.nxt)))
         for rel in ts.relations:
-            sub = store.and_exists(quantified, rel.edge, source)
-            pieces.append(store.rename(sub, ts.to_current) if forward
+            sub = store.and_exists(quantified, _framed(ts, rel), source)
+            pieces.append(store.rename(sub, dict(zip(ts.nxt, ts.current))) if forward
                           else store.apply("and", sub, -ts.sink))
     result = FALSE
     for piece in pieces:
@@ -97,7 +112,7 @@ def _subimages_reference(ts, parts, forward):
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
-def test_forward_subimages_rename_once_with_the_same_peak(name):
+def test_subimages_match_the_framed_reference(name):
     spec = load_game(bundled_game_path(name))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
         ts = compile_game(spec)
@@ -226,21 +241,120 @@ def test_empty_init_rejected(counter):
 
 
 def _monolithic_relation(ts):
-    """The disjunction of all action relations, as one BDD."""
+    """The disjunction of all action relations, each with its frame axioms, as one BDD."""
     result = FALSE
     for rel in ts.relations:
-        result = ts.store.apply("or", result, rel.edge)
+        result = ts.store.apply("or", result, _framed(ts, rel))
     return result
 
 
-def test_monolithic_image_agrees(counter):
-    spec, ts = counter
+@pytest.mark.parametrize("name", ["tictactoe", "duel"])
+def test_monolithic_image_agrees(name):
+    # most actions of these games leave most variables alone, so the
+    # frame-free relations differ from their framed disjunction
+    spec = load_game(bundled_game_path(name))
+    ts = compile_game(spec)
+    assert any(len(rel.written) < len(ts.current) for rel in ts.relations)
     mono_ts = TransitionSystem(store=ts.store, current=ts.current, nxt=ts.nxt,
                                relations=(Relation("all", _monolithic_relation(ts)),),
                                sink=ts.sink)
-    s = _state_set(ts, [(0, 0, 0), (1, 1, 0)])
-    assert image(mono_ts, s) == image(ts, s)
-    assert preimage(mono_ts, s) == preimage(ts, s)
+    seq = layered_bfs(ts, initial_edge(ts, spec))
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        for s in (*seq.layers, seq.reached):
+            assert image(mono_ts, s, strategy) == image(ts, s, strategy)
+            assert preimage(mono_ts, s, strategy) == preimage(ts, s, strategy)
+
+
+# effect shapes: an action without effects, a swap, a toggle next to a
+# constant, and effects reading variables the same action writes; the
+# two-bit clock t1 t0 counts the moves, so the last three games are
+# layered and have values
+SHAPE_GAMES = {
+    "idle": """
+vars: a, b
+init:
+player 1 action idle: pre = !a
+player 1 action set: pre = !a; eff = a := 1
+player 1 action swap: pre = a; eff = a := b, b := a
+terminal: a & b
+reward 1 100: a & b
+reward 1 0: !(a & b)
+""",
+    "swap": """
+vars: a, b, c, t1, t0
+init: a
+player 1 action swap: pre = 1; eff = a := b, b := a, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 1 action mark: pre = !c; eff = c := 1, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+terminal: t1 & t0
+reward 1 100: a & !b
+reward 1 50: !(a & !b) & c
+reward 1 0: !(a & !b) & !c
+""",
+    "toggle": """
+vars: p, a, b, d, t1, t0
+init:
+player 1 action toggle: pre = !p; eff = p := 1, a := !a, b := 1, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 1 action copy: pre = !p & b; eff = p := 1, d := b, b := 0, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 2 action flip: pre = p; eff = p := 0, a := !a, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 2 action wait: pre = p & d; eff = t0 := !t0, p := 0, t1 := (t1 & !t0) | (!t1 & t0)
+terminal: t1 & t0
+reward 1 100: a & !d
+reward 1 0: !(a & !d)
+reward 2 100: !(a & !d)
+reward 2 0: a & !d
+""",
+    "chain": """
+vars: a, b, c, t1, t0
+init: c
+player 1 action shift: pre = 1; eff = a := b, b := c, c := a & !b, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 1 action clear: pre = b | c; eff = c := 0, a := c | b, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+terminal: t1 & t0
+reward 1 100: a & !c
+reward 1 30: !(a & !c)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_GAMES))
+def test_effect_shapes_match_the_explicit_engine(name):
+    spec = parse_game(SHAPE_GAMES[name], name=name)
+    explicit = ExplicitGame(spec)
+    states = list(itertools.product((0, 1), repeat=len(spec.variables)))
+    rng = random.Random(name)
+    for text in ("none", "fold-states-lex:2", "states-lex:3", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        ts = compile_game(spec)
+        for _ in range(12):
+            chosen = [bits for bits in states if rng.random() < 0.4]
+            succ = {t for bits in chosen for t in explicit.successors(bits)}
+            pred = [bits for bits in states if set(explicit.successors(bits)) & set(chosen)]
+            s = _state_set(ts, chosen)
+            assert image(ts, s, strategy) == _state_set(ts, succ)
+            assert preimage(ts, s, strategy) == _state_set(ts, pred)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        assert layers.layers == [_state_set(ts, layer) for layer in explicit.bfs_layers()]
+        if name != "idle":  # its idle action loops, which no layered value allows
+            table = solve(ts, spec, layers, strategy)
+            for layer in explicit.bfs_layers():
+                for bits in layer:
+                    assert table.value_of(bits) == explicit.value(bits)
+        ts.store.check()
+
+
+def test_images_never_rename(monkeypatch):
+    # every subimage is made over the current variables inside the product
+    def no_rename(*args, **kwargs):
+        raise AssertionError("rename called")
+
+    monkeypatch.setattr(BddStore, "rename", no_rename)
+    for name in bundled_game_names():
+        spec = load_game(bundled_game_path(name))
+        for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+            strategy = PartitionStrategy.parse(text)
+            ts = compile_game(spec)
+            layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+            assert solve(ts, spec, layers, strategy).complete
 
 
 def test_sink_states_have_no_successors(counter):
@@ -268,6 +382,31 @@ def test_transition_system_rejects_stray_levels():
     with pytest.raises(ValueError):
         TransitionSystem(store=store, current=(0,), nxt=(2,), relations=(),
                          sink=store.var(2))
+
+
+def test_transition_system_rejects_writes_of_non_current_levels():
+    store = BddStore(4)
+    with pytest.raises(ValueError, match=r"relation w writes non-current levels \[1\]"):
+        TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
+                         relations=(Relation("w", store.var(1), written=(0, 1)),))
+
+
+def test_transition_system_rejects_unwritten_next_levels():
+    # an unwritten next variable in a relation would leak into the image
+    store = BddStore(4)
+    edge = store.apply("and", store.var(1), store.var(3))
+    with pytest.raises(ValueError, match=r"relation w mentions next levels \[1\] it does not write"):
+        TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
+                         relations=(Relation("w", edge, written=(2,)),))
+    # with every variable written the edge carries its own frame
+    TransitionSystem(store=store, current=(0, 2), nxt=(1, 3), relations=(Relation("w", edge),))
+
+
+def test_transition_system_rejects_a_level_between_current_and_next():
+    store = BddStore(4)
+    with pytest.raises(ValueError, match=r"levels \[1\] lie between current level 0 "
+                                         r"and next level 2"):
+        TransitionSystem(store=store, current=(0, 1), nxt=(2, 3), relations=())
 
 
 def test_transition_system_rejects_overlapping_levels():

@@ -18,12 +18,12 @@ the branches, and ``g`` is made regular by complementing both branches
 and the result.  ``ite(f, g, h)``, ``ite(not f, h, g)`` and
 ``not ite(f, not g, not h)`` therefore share one cache line.
 
-``ite`` and the unquantified levels of the relational product make
-their nodes inline, with the reduction rule, complement normalisation
-and unique-table lookup of ``mk_node`` but not its ordering check:
-their children are built from cofactors below the node's level (level
-maps that keep the order, in the product), and ``check`` re-verifies.  ``ite`` leaves out the
-normalisation too, as its Then-result is always regular (see there).
+The relational product ``and_exists`` runs one recursion to the sinks
+for every call.  It and ``ite`` make their nodes inline, with the
+reduction rule, complement normalisation and unique-table lookup of
+``mk_node`` but not its ordering check: children are cofactors below
+the node's level (level maps keep the order), and ``check`` re-verifies.
+``ite`` also skips the normalisation: its Then-result is always regular.
 
 All BDDs in one store share a single fixed variable order.  Variables
 are identified by their level (position in that order); names are
@@ -287,23 +287,21 @@ class BddStore:
         ``write[l]``; ``levels`` are taken between the two.  A map that
         would reorder two levels raises ``ValueError``; two levels a map
         sends to one must not both occur (in ``g``, or in the result).
-        This is the store's only quantification kernel; :meth:`exists`
-        calls it with ``g = c = TRUE``.
+        Besides the constants, only ``c`` and ``f`` are compared: a mapped
+        ``g`` is not the function its edge names.  :meth:`exists` sets ``g = c = TRUE``.
         """
         q = self.validate_levels(levels)
         read, write = (tuple(sorted((k, v) for k, v in (m or {}).items() if k != v))
                        for m in (read, write))
-        if not (q or read or write):
-            return self.apply("and", self.apply("and", f, g), c)
         product = self._products.get((q, read, write))
         if product is None:
-            moved = self.validate_levels(lvl for pair in read + write for lvl in pair)
+            self.validate_levels(lvl for pair in read + write for lvl in pair)
             rlev, wlev = ([dict(m).get(lvl, lvl) for lvl in range(len(self._names) + 1)]
                           for m in (read, write))
             if any(a > b for m in (rlev, wlev) for a, b in zip(m, m[1:])):
                 raise ValueError(f"level map {dict(read)} or {dict(write)} reorders levels")
             quant = [lvl in q for lvl in range(len(rlev))]
-            product = (len(self._products), quant, rlev, wlev, max(q | moved), bool(read))
+            product = (len(self._products), quant, rlev, wlev)
             self._products[q, read, write] = product
         return self._and_exists_rec(product, f, g, c)
 
@@ -312,20 +310,15 @@ class BddStore:
         return self.and_exists(levels, f, TRUE)
 
     def _and_exists_rec(self, product: tuple, f: int, g: int, c: int) -> int:
-        tok, quant, rlev, wlev, maxm, mapped = product
-        # a mapped g is not the function its edge names: no compare, no swap
-        if f == -1 or g == -1 or c == -1 or (f == -g and not mapped):
+        tok, quant, rlev, wlev = product
+        if f == -1 or g == -1 or c == -1:
             return FALSE
-        if f == g and not mapped:
-            g = TRUE
-        if c == f or (c == g and not mapped):
+        if c == f:
             c = TRUE
-        elif c == -f or (c == -g and not mapped):
+        elif c == -f:
             return FALSE
         if f == 1 and g == 1 and c == 1:
             return TRUE
-        if g < f and not mapped:
-            f, g = g, f
         levels = self._level
         af = f if f > 0 else -f
         ag = g if g > 0 else -g
@@ -336,10 +329,6 @@ class BddStore:
         top = lf if lf < lg else lg
         if lc < top:
             top = lc
-        if top > maxm:
-            # no quantified or mapped variable can occur below this level
-            r = self.ite(f, g, FALSE)
-            return r if c == 1 else self.apply("and", r, c)
         key = ("ae", tok, f, g, c)
         r = self._op_cache.get(key)
         if r is not None:

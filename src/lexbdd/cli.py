@@ -1,7 +1,7 @@
 """Command line front end: solve one game, compare written reports.
 
 Exit codes: 0 when the game was strongly solved, 2 when a budget ran
-out before that, 1 on any error.
+out before that, 1 on any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -15,8 +15,15 @@ from .games import GameSolveError, GameSpecError
 from .search import PartitionStrategy
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on a usage error: argparse's exit code 2 means a budget ran out."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexbdd",
         description="Strongly solve declarative games with partitioned symbolic search.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -40,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_compare(args)

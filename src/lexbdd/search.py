@@ -36,12 +36,12 @@ class Relation:
 
     ``written`` holds the current levels of the variables the action
     writes; ``edge`` has no frame axioms, so every other variable keeps
-    its value.  ``None`` means all, for an edge with its own frame.
+    its value.  An edge with its own frame writes every current level.
     """
     name: str
     edge: int
+    written: tuple[int, ...]
     player: int | None = None
-    written: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,13 @@ class TransitionSystem:
                 raise ValueError(
                     f"relation {rel.name} mentions non-state levels "
                     f"{sorted(support - allowed)}")
-            if rel.written is not None:
-                odd = set(rel.written) - set(self.current)
-                if odd:
-                    raise ValueError(f"relation {rel.name} writes non-current levels {sorted(odd)}")
-                leak = support & {x for c, x in zip(self.current, self.nxt) if c not in rel.written}
-                if leak:
-                    raise ValueError(f"relation {rel.name} mentions next levels {sorted(leak)} "
-                                     "it does not write")
+            odd = set(rel.written) - set(self.current)
+            if odd:
+                raise ValueError(f"relation {rel.name} writes non-current levels {sorted(odd)}")
+            leak = support & {x for c, x in zip(self.current, self.nxt) if c not in rel.written}
+            if leak:
+                raise ValueError(f"relation {rel.name} mentions next levels {sorted(leak)} "
+                                 "it does not write")
         stray = self.store.support_levels(self.sink) - set(self.current)
         if stray:
             raise ValueError(f"sink set mentions non-current levels {sorted(stray)}")
@@ -233,8 +232,7 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
             care = -ts.sink
     products = []  # (edge, quantified levels, read map, write map) per action
     for rel in relations:
-        shift = {w: x for w, x in zip(ts.current, ts.nxt)
-                 if rel.written is None or w in rel.written}
+        shift = {w: x for w, x in zip(ts.current, ts.nxt) if w in rel.written}
         back = {x: w for w, x in shift.items()}
         products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
     merged, peak = FALSE, 0

@@ -232,7 +232,7 @@ def test_and_exists_matches_enumeration():
 
 
 def test_and_exists_terminal_cases_match_enumeration():
-    # a constant, equal or complementary operand ends the recursion early
+    # a constant operand ends the recursion early; an equal or complementary one does not
     rng = random.Random(29)
     for _ in range(20):
         store, f, f_table = random_function(rng, 6, density=rng.choice((0.3, 0.5, 0.8)),

@@ -189,6 +189,31 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve"],
+    ["solve", "G", "--node-budget", "abc"],
+    ["solve", "G", "--bogus"],
+    ["frobnicate"],
+    ["compare", "a.csv"],
+])
+def test_cli_usage_error_is_a_one_line_error(capsys, argv):
+    # exit code 2 means a budget ran out, so argparse may not use it
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lexbdd")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: lexbdd" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("terminal, action", [
     ("a", "pre"),
     ("a", "pre = 1; eff"),

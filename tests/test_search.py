@@ -81,7 +81,7 @@ def _framed(ts, rel):
     store = ts.store
     edge = rel.edge
     for u, x in zip(ts.current, ts.nxt):
-        if rel.written is not None and u not in rel.written:
+        if u not in rel.written:
             edge = store.apply("and", edge, store.ite(store.var(x), store.var(u), -store.var(u)))
     return edge
 
@@ -256,7 +256,8 @@ def test_monolithic_image_agrees(name):
     ts = compile_game(spec)
     assert any(len(rel.written) < len(ts.current) for rel in ts.relations)
     mono_ts = TransitionSystem(store=ts.store, current=ts.current, nxt=ts.nxt,
-                               relations=(Relation("all", _monolithic_relation(ts)),),
+                               relations=(Relation("all", _monolithic_relation(ts),
+                                                   written=ts.current),),
                                sink=ts.sink)
     seq = layered_bfs(ts, initial_edge(ts, spec))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
@@ -267,8 +268,10 @@ def test_monolithic_image_agrees(name):
 
 
 # effect shapes: an action without effects, a swap, a toggle next to a
-# constant, and effects reading variables the same action writes; the
-# two-bit clock t1 t0 counts the moves, so the last three games are
+# constant, effects reading variables the same action writes, and trailing
+# variables that no action writes but preconditions, effects and rewards
+# read, so that products continue below every quantified and moved level;
+# the two-bit clock t1 t0 counts the moves, so all games but idle are
 # layered and have values
 SHAPE_GAMES = {
     "idle": """
@@ -312,6 +315,16 @@ player 1 action clear: pre = b | c; eff = c := 0, a := c | b, t0 := !t0, t1 := (
 terminal: t1 & t0
 reward 1 100: a & !c
 reward 1 30: !(a & !c)
+""",
+    "trailing": """
+vars: a, b, t1, t0, g, h
+init: g
+player 1 action flip: pre = g | h; eff = a := !a, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 1 action tick: pre = 1; eff = b := a | h, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+terminal: t1 & t0
+reward 1 100: a & g
+reward 1 40: !(a & g) & b
+reward 1 0: !(a & g) & !b
 """,
 }
 
@@ -378,7 +391,7 @@ def test_transition_system_rejects_stray_levels():
     stray = store.var(1)
     with pytest.raises(ValueError):
         TransitionSystem(store=store, current=(0,), nxt=(2,),
-                         relations=(Relation("bad", stray),))
+                         relations=(Relation("bad", stray, written=(0,)),))
     with pytest.raises(ValueError):
         TransitionSystem(store=store, current=(0,), nxt=(2,), relations=(),
                          sink=store.var(2))
@@ -399,7 +412,11 @@ def test_transition_system_rejects_unwritten_next_levels():
         TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
                          relations=(Relation("w", edge, written=(2,)),))
     # with every variable written the edge carries its own frame
-    TransitionSystem(store=store, current=(0, 2), nxt=(1, 3), relations=(Relation("w", edge),))
+    TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
+                     relations=(Relation("w", edge, written=(0, 2)),))
+    # and a relation must say what it writes
+    with pytest.raises(TypeError):
+        Relation("w", edge)
 
 
 def test_transition_system_rejects_a_level_between_current_and_next():

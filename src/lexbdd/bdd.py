@@ -66,7 +66,8 @@ class BddStore:
         self._level: list[int] = [-1, len(names)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._op_cache: dict[tuple, int] = {}
+        # relational products only: (product token, f, g, c) -> result
+        self._op_cache: dict[tuple[int, int, int, int], int] = {}
         # (levels, read map, write map) -> cache token and per-level tables
         self._products: dict[tuple, tuple] = {}
 
@@ -287,8 +288,9 @@ class BddStore:
         ``write[l]``; ``levels`` are taken between the two.  A map that
         would reorder two levels raises ``ValueError``; two levels a map
         sends to one must not both occur (in ``g``, or in the result).
-        Besides the constants, only ``c`` and ``f`` are compared: a mapped
-        ``g`` is not the function its edge names.  :meth:`exists` sets ``g = c = TRUE``.
+        No two operands are compared, only each with the constants: a
+        mapped ``g`` is not the function its edge names.  :meth:`exists`
+        sets ``g = c = TRUE``.
         """
         q = self.validate_levels(levels)
         read, write = (tuple(sorted((k, v) for k, v in (m or {}).items() if k != v))
@@ -313,10 +315,6 @@ class BddStore:
         tok, quant, rlev, wlev = product
         if f == -1 or g == -1 or c == -1:
             return FALSE
-        if c == f:
-            c = TRUE
-        elif c == -f:
-            return FALSE
         if f == 1 and g == 1 and c == 1:
             return TRUE
         levels = self._level
@@ -329,7 +327,7 @@ class BddStore:
         top = lf if lf < lg else lg
         if lc < top:
             top = lc
-        key = ("ae", tok, f, g, c)
+        key = (tok, f, g, c)
         r = self._op_cache.get(key)
         if r is not None:
             return r

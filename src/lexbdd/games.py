@@ -340,11 +340,12 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
 def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSystem:
     """Build one transition relation per action and the terminal sink set.
 
-    Current and next copies of each variable are interleaved in the
-    order, which keeps the per-action relations small.  Each relation is
-    the precondition and one biconditional per written variable, with no
-    frame axioms: the image products keep every other variable (see
-    :class:`Relation`).  The terminal formula becomes the ``sink`` set.
+    Variable ``i`` of the spec sits at level ``2i`` and its next copy at
+    ``2i + 1``, which keeps the per-action relations small.  Each
+    relation is the precondition and one biconditional per written
+    variable, with no frame axioms, so it mentions the next copy of
+    exactly the variables its action writes (see :class:`Relation`).
+    The terminal formula becomes the ``sink`` set.
     """
     names = []
     for v in spec.variables:
@@ -355,24 +356,18 @@ def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSys
     elif store.var_names != tuple(names):
         raise ValueError("store variable order does not match the game spec")
     cur = {v: 2 * i for i, v in enumerate(spec.variables)}
-    nxt = {v: 2 * i + 1 for i, v in enumerate(spec.variables)}
 
     relations = []
     for action in spec.actions:
         effect_map = dict(action.effects)
-        written = [v for v in spec.variables if v in effect_map]
         trans = _compile_formula(store, cur, action.precondition)
         # conjoin bottom-up: deeper biconditionals first keeps intermediates small
-        for v in reversed(written):
+        for v in reversed([v for v in spec.variables if v in effect_map]):
             rhs = _compile_formula(store, cur, effect_map[v])
-            bicond = store.ite(store.var(nxt[v]), rhs, -rhs)
+            bicond = store.ite(store.var(cur[v] + 1), rhs, -rhs)
             trans = store.apply("and", trans, bicond)
-        relations.append(Relation(name=action.name, edge=trans, player=action.player,
-                                  written=tuple(cur[v] for v in written)))
-    return TransitionSystem(store=store,
-                            current=tuple(cur[v] for v in spec.variables),
-                            nxt=tuple(nxt[v] for v in spec.variables),
-                            relations=tuple(relations),
+        relations.append(Relation(name=action.name, edge=trans, player=action.player))
+    return TransitionSystem(store=store, relations=tuple(relations),
                             sink=_compile_formula(store, cur, spec.terminal))
 
 

@@ -142,20 +142,16 @@ def fold_states_lex(table: CountTable, k: int) -> LexPartition:
 
     Fold ``i`` ends at the member in position ``ceil(i * count / k)``,
     so fold sizes differ by at most one.  When the set has fewer than
-    ``k`` members the duplicate cut positions collapse and fewer,
-    single-member folds are returned.
+    ``k`` members, ``k`` drops to the member count and every fold holds
+    one member.
     """
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
     c = table.root_count
     if c == 0:
         return LexPartition(cuts=((1,) * table.n,), parts=(table.root,))
-    positions = []
-    for i in range(1, k + 1):
-        p = -(-i * c // k)
-        if not positions or p > positions[-1]:
-            positions.append(p)
-    return _partition_at_positions(table, positions)
+    k = min(k, c)  # with k <= c the positions strictly increase
+    return _partition_at_positions(table, [-(-i * c // k) for i in range(1, k + 1)])
 
 
 def states_lex_bounded(table: CountTable, bound: int) -> LexPartition:

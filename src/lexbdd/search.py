@@ -1,9 +1,10 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
 The transition relation is kept as one BDD per action and never built
-monolithically.  A relation holds no frame axioms: it constrains only
-the next copies of the variables its action writes, and every other
-variable keeps its value implicitly.  States without successors are
+monolithically.  Variable ``i`` sits at level ``2i`` and its next copy
+at ``2i + 1``.  A relation holds no frame axioms: it writes exactly the
+variables whose next copy it mentions, and every other variable keeps
+its value implicitly.  States without successors are
 kept out of the relations as a separate sink set: it is masked out of
 each forward source part, and a backward product excludes it through
 its care set, during the product rather than after it.  An image
@@ -21,7 +22,7 @@ index equals BFS depth.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bdd import FALSE, TRUE, BddStore
 from .counting import CountTable, precompute_counts
@@ -34,65 +35,46 @@ STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
 class Relation:
     """One action's transition relation over current and next variables.
 
-    ``written`` holds the current levels of the variables the action
-    writes; ``edge`` has no frame axioms, so every other variable keeps
-    its value.  An edge with its own frame writes every current level.
+    ``edge`` has no frame axioms: the action writes exactly the
+    variables whose next copy it mentions, and every other variable
+    keeps its value.  So no relation can leave a variable arbitrary:
+    an edge that does not depend on ``w'`` keeps ``w``.
     """
     name: str
     edge: int
-    written: tuple[int, ...]
     player: int | None = None
 
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """Action relations over current/next variables, plus a sink set.
+    """Action relations over interleaved current/next variables, plus a sink set.
 
-    ``sink`` holds the current states that have no successors whatever
-    the relations say; ``image`` and ``preimage`` mask it out.
+    Variable ``i`` sits at level ``2i`` (``current``) and its next copy
+    at ``2i + 1`` (``nxt``), so the store holds an even number of
+    levels.  ``written`` maps each relation to the current levels of the
+    variables it writes, derived once from the next levels its edge
+    mentions.  ``sink`` holds the current states that have no successors
+    whatever the relations say; ``image`` and ``preimage`` mask it out.
     """
     store: BddStore
-    current: tuple[int, ...]
-    nxt: tuple[int, ...]
     relations: tuple[Relation, ...]
     sink: int = FALSE
+    current: tuple[int, ...] = field(init=False)
+    nxt: tuple[int, ...] = field(init=False)
+    written: dict[Relation, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.current) != len(self.nxt):
-            raise ValueError("current and next variable lists differ in length")
         n = self.store.n
-        for name, levels in (("current", self.current), ("next", self.nxt)):
-            if len(set(levels)) != len(levels):
-                raise ValueError(f"{name} variable list repeats a level: {list(levels)}")
-            outside = [lvl for lvl in levels if not 0 <= lvl < n]
-            if outside:
-                raise ValueError(f"{name} variable list names levels {outside} "
-                                 f"outside the store's 0..{n - 1}")
-        shared = set(self.current) & set(self.nxt)
-        if shared:
-            raise ValueError(f"levels {sorted(shared)} are both current and next")
-        allowed = set(self.current) | set(self.nxt)
-        for rel in self.relations:
-            support = self.store.support_levels(rel.edge)
-            if not support <= allowed:
-                raise ValueError(
-                    f"relation {rel.name} mentions non-state levels "
-                    f"{sorted(support - allowed)}")
-            odd = set(rel.written) - set(self.current)
-            if odd:
-                raise ValueError(f"relation {rel.name} writes non-current levels {sorted(odd)}")
-            leak = support & {x for c, x in zip(self.current, self.nxt) if c not in rel.written}
-            if leak:
-                raise ValueError(f"relation {rel.name} mentions next levels {sorted(leak)} "
-                                 "it does not write")
-        stray = self.store.support_levels(self.sink) - set(self.current)
+        if n % 2:
+            raise ValueError(f"store has {n} levels, not a current and a next one per variable")
+        stray = sorted(lvl for lvl in self.store.support_levels(self.sink) if lvl % 2)
         if stray:
-            raise ValueError(f"sink set mentions non-current levels {sorted(stray)}")
-        # a product moves each written variable between its two levels
-        for c, x in zip(self.current, self.nxt):
-            if abs(c - x) != 1:
-                raise ValueError(f"levels {list(range(min(c, x) + 1, max(c, x)))} lie "
-                                 f"between current level {c} and next level {x}")
+            raise ValueError(f"sink set mentions next levels {stray}")
+        object.__setattr__(self, "current", tuple(range(0, n, 2)))
+        object.__setattr__(self, "nxt", tuple(range(1, n, 2)))
+        object.__setattr__(self, "written", {
+            rel: tuple(sorted(lvl - 1 for lvl in self.store.support_levels(rel.edge) if lvl % 2))
+            for rel in self.relations})
 
 
 @dataclass(frozen=True)
@@ -232,8 +214,8 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
             care = -ts.sink
     products = []  # (edge, quantified levels, read map, write map) per action
     for rel in relations:
-        shift = {w: x for w, x in zip(ts.current, ts.nxt) if w in rel.written}
-        back = {x: w for w, x in shift.items()}
+        shift = {w: w + 1 for w in ts.written[rel]}
+        back = {w + 1: w for w in ts.written[rel]}
         products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
     merged, peak = FALSE, 0
     for part in parts:

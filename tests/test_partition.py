@@ -1,6 +1,7 @@
 """Split identities, structural budgets, and partition schemes."""
 
 import random
+import signal
 
 import pytest
 
@@ -184,6 +185,29 @@ def test_fold_on_empty_set():
     assert part.parts == (FALSE,)
     with pytest.raises(ValueError):
         fold_states_lex(table, 0)
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError
+
+
+def test_fold_count_above_the_member_count_gives_single_member_folds():
+    store = BddStore(4)
+    f = store.apply("or", store.var(0), store.var(1))
+    table = precompute_counts(store, f)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    timed_out = False
+    try:
+        part = fold_states_lex(table, 10 ** 12)
+    except TimeoutError:
+        timed_out = True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not timed_out, "fold_states_lex loops once per requested fold"
+    assert len(part.parts) == table.root_count == 12
+    check_lex_partition(store, f, 4, part, table.root_count, 10 ** 12)
 
 
 def test_states_bounded_single_part():

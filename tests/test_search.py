@@ -80,9 +80,10 @@ def _framed(ts, rel):
     """``rel.edge`` with a frame axiom ``u' <-> u`` for every variable it does not write."""
     store = ts.store
     edge = rel.edge
-    for u, x in zip(ts.current, ts.nxt):
-        if u not in rel.written:
-            edge = store.apply("and", edge, store.ite(store.var(x), store.var(u), -store.var(u)))
+    for u in ts.current:
+        if u not in ts.written[rel]:
+            frame = store.ite(store.var(u + 1), store.var(u), -store.var(u))
+            edge = store.apply("and", edge, frame)
     return edge
 
 
@@ -254,11 +255,10 @@ def test_monolithic_image_agrees(name):
     # frame-free relations differ from their framed disjunction
     spec = load_game(bundled_game_path(name))
     ts = compile_game(spec)
-    assert any(len(rel.written) < len(ts.current) for rel in ts.relations)
-    mono_ts = TransitionSystem(store=ts.store, current=ts.current, nxt=ts.nxt,
-                               relations=(Relation("all", _monolithic_relation(ts),
-                                                   written=ts.current),),
-                               sink=ts.sink)
+    assert any(len(ts.written[rel]) < len(ts.current) for rel in ts.relations)
+    mono = Relation("all", _monolithic_relation(ts))
+    mono_ts = TransitionSystem(store=ts.store, relations=(mono,), sink=ts.sink)
+    assert mono_ts.written[mono] == ts.current
     seq = layered_bfs(ts, initial_edge(ts, spec))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
         strategy = PartitionStrategy.parse(text)
@@ -329,6 +329,18 @@ reward 1 0: !(a & g) & !b
 }
 
 
+@pytest.mark.parametrize("name", [*bundled_game_names(), *sorted(SHAPE_GAMES)])
+def test_written_levels_are_the_effect_variables(name):
+    if name in SHAPE_GAMES:
+        spec = parse_game(SHAPE_GAMES[name], name=name)
+    else:
+        spec = load_game(bundled_game_path(name))
+    ts = compile_game(spec)
+    for action, rel in zip(spec.actions, ts.relations, strict=True):
+        effects = {v for v, _ in action.effects}
+        assert ts.written[rel] == tuple(2 * i for i, v in enumerate(spec.variables) if v in effects)
+
+
 @pytest.mark.parametrize("name", sorted(SHAPE_GAMES))
 def test_effect_shapes_match_the_explicit_engine(name):
     spec = parse_game(SHAPE_GAMES[name], name=name)
@@ -375,8 +387,7 @@ def test_sink_states_have_no_successors(counter):
     store = ts.store
     # the counter's own terminal state plus two more
     sink = _state_set(ts, [(0, 1, 0), (1, 0, 0), (1, 1, 1)])
-    sunk = TransitionSystem(store=store, current=ts.current, nxt=ts.nxt,
-                            relations=ts.relations, sink=sink)
+    sunk = TransitionSystem(store=store, relations=ts.relations, sink=sink)
     assert image(sunk, sink) == FALSE
     for text in ("none", "fold-states-lex:2", "states-lex:1", "disj-var"):
         strategy = PartitionStrategy.parse(text)
@@ -386,66 +397,27 @@ def test_sink_states_have_no_successors(counter):
         assert pred == store.apply("and", preimage(ts, TRUE, strategy), -sink)
 
 
+def test_transition_system_derives_the_interleaved_layout():
+    store = BddStore(6)
+    ts = TransitionSystem(store, ())
+    assert (ts.current, ts.nxt, ts.written) == ((0, 2, 4), (1, 3, 5), {})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ts.current = (0,)
+
+
 def test_transition_system_rejects_stray_levels():
+    # a level without its partner, and a sink that reads next levels
+    with pytest.raises(ValueError, match="store has 3 levels"):
+        TransitionSystem(BddStore(3), ())
     store = BddStore(4)
-    stray = store.var(1)
-    with pytest.raises(ValueError):
-        TransitionSystem(store=store, current=(0,), nxt=(2,),
-                         relations=(Relation("bad", stray, written=(0,)),))
-    with pytest.raises(ValueError):
-        TransitionSystem(store=store, current=(0,), nxt=(2,), relations=(),
-                         sink=store.var(2))
+    with pytest.raises(ValueError, match=r"sink set mentions next levels \[3\]"):
+        TransitionSystem(store, (), sink=store.apply("and", store.var(0), store.var(3)))
 
 
-def test_transition_system_rejects_writes_of_non_current_levels():
-    store = BddStore(4)
-    with pytest.raises(ValueError, match=r"relation w writes non-current levels \[1\]"):
-        TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
-                         relations=(Relation("w", store.var(1), written=(0, 1)),))
-
-
-def test_transition_system_rejects_unwritten_next_levels():
-    # an unwritten next variable in a relation would leak into the image
-    store = BddStore(4)
-    edge = store.apply("and", store.var(1), store.var(3))
-    with pytest.raises(ValueError, match=r"relation w mentions next levels \[1\] it does not write"):
-        TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
-                         relations=(Relation("w", edge, written=(2,)),))
-    # with every variable written the edge carries its own frame
-    TransitionSystem(store=store, current=(0, 2), nxt=(1, 3),
-                     relations=(Relation("w", edge, written=(0, 2)),))
-    # and a relation must say what it writes
+def test_relation_takes_no_written_levels():
+    store = BddStore(2)
     with pytest.raises(TypeError):
-        Relation("w", edge)
-
-
-def test_transition_system_rejects_a_level_between_current_and_next():
-    store = BddStore(4)
-    with pytest.raises(ValueError, match=r"levels \[1\] lie between current level 0 "
-                                         r"and next level 2"):
-        TransitionSystem(store=store, current=(0, 1), nxt=(2, 3), relations=())
-
-
-def test_transition_system_rejects_overlapping_levels():
-    store = BddStore(4)
-    with pytest.raises(ValueError, match="both current and next"):
-        TransitionSystem(store=store, current=(0, 1), nxt=(1, 0), relations=())
-
-
-def test_transition_system_rejects_repeated_levels():
-    store = BddStore(4)
-    with pytest.raises(ValueError, match="current variable list repeats a level"):
-        TransitionSystem(store=store, current=(0, 0), nxt=(1, 2), relations=())
-    with pytest.raises(ValueError, match="next variable list repeats a level"):
-        TransitionSystem(store=store, current=(0, 1), nxt=(2, 2), relations=())
-
-
-def test_transition_system_rejects_levels_outside_the_store():
-    store = BddStore(4)
-    with pytest.raises(ValueError, match=r"next variable list names levels \[4\]"):
-        TransitionSystem(store=store, current=(0, 1), nxt=(2, 4), relations=())
-    with pytest.raises(ValueError, match=r"current variable list names levels \[-1\]"):
-        TransitionSystem(store=store, current=(-1, 1), nxt=(2, 3), relations=())
+        Relation("w", store.var(1), written=(0,))
 
 
 def test_strategy_parse_and_str():

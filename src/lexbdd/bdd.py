@@ -47,7 +47,10 @@ class BddStore:
     needs exclusive access.  A store that is no longer mutated can be
     read (``evaluate``, ``size``, traversals) from any number of
     threads.  There is no garbage collection; throw the store away and
-    build a fresh one between independent workloads.
+    build a fresh one between independent workloads.  The ``ite`` and
+    relational-product caches are memo tables only: the layer loops of
+    ``search.layered_bfs`` and ``games.solve`` clear them at the start
+    of every step, and a dropped result is made again as the same node.
     """
 
     def __init__(self, variables: int | Iterable[str]):
@@ -415,7 +418,13 @@ class BddStore:
         return renamed[f] if f > 0 else -renamed[-f]
 
     def clear_caches(self) -> None:
-        """Drop all memoization tables (results stay valid)."""
+        """Drop the ``ite`` and relational-product caches.
+
+        Every edge made so far stays valid, as the node list and the
+        unique table are kept: a dropped result is recomputed to the same
+        edge.  The layer loops of ``search.layered_bfs`` and
+        ``games.solve`` call this at the start of every step.
+        """
         self._ite_cache.clear()
         self._op_cache.clear()
 

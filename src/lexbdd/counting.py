@@ -1,11 +1,12 @@
 """Model counts per signed edge, cached for ranking and splitting.
 
-Counts are computed once per root by a depth-first pass and stored per
-*signed* edge, so a node reached both regularly and complemented gets
-two independent entries.  Keying by the signed edge (instead of storing
-one value and complementing on demand) keeps every cached value bounded
-by the root's own count, which is what makes the cache safe to reuse as
-the weight table of the rank/unrank walks.
+Counts are computed once per root, in one loop over the signed edges
+reached from it in slot order, and stored per *signed* edge, so a node
+reached both regularly and complemented gets two independent entries.
+Keying by the signed edge (instead of storing one value and
+complementing on demand) keeps every cached value bounded by the root's
+own count, which is what makes the cache safe to reuse as the weight
+table of the rank/unrank walks.
 
 A count table can be restricted to a subset of the store's variables
 (the ``levels`` argument).  That subset is the assignment universe:
@@ -72,36 +73,41 @@ def precompute_counts(store: BddStore, f: int,
     satisfying assignments over the (possibly restricted) universe.
     Reduction gaps are paid for here: a child sitting ``g`` positions
     below its parent contributes its count times ``2**(g-1)`` free
-    choices for the skipped variables.  Complement marks are pushed into
-    the recursion, so they resolve only at the sinks.  Raises
+    choices for the skipped variables.  Complement marks are pushed down
+    the walk, so they resolve only at the sinks.  Nothing recurses, so
+    the depth of the variable order is not limited.  Raises
     ``ValueError`` when ``f`` depends on a level outside the universe.
     """
     levels, pos = universe(store, levels)
-    counts: dict[int, int] = {TRUE: 1, FALSE: 0}
-
-    def aux(e: int) -> int:
-        c = counts.get(e)
-        if c is not None:
-            return c
-        lvl, t, el = store.node(e)
-        if e < 0:
-            t, el = -t, -el
-        i = pos.get(lvl)
-        if i is None:
+    nodes = store._nodes
+    level = store._level
+    # collect the signed edges reached from the root, then count them in
+    # slot order: children always sit in lower slots than their parents
+    reached: set[int] = set()
+    stack = [f]
+    while stack:
+        e = stack.pop()
+        if e in reached or e == TRUE or e == FALSE:
+            continue
+        lvl, t, el = nodes[abs(e)]
+        if lvl not in pos:
             raise ValueError(
                 f"support of root {f} reaches level {lvl}, "
                 f"outside the counting universe {list(levels)}")
-        c = (aux(t) << (pos[store.level_of_edge(t)] - i - 1)) \
-            + (aux(el) << (pos[store.level_of_edge(el)] - i - 1))
-        counts[e] = c
-        return c
-
-    try:
-        root_count = aux(f) << pos[store.level_of_edge(f)]
-    finally:
-        # aux refers to itself: break that cycle, or it keeps the store
-        # alive until the next cyclic garbage collection
-        del aux
+        reached.add(e)
+        if e < 0:
+            t, el = -t, -el
+        stack.append(t)
+        stack.append(el)
+    counts: dict[int, int] = {TRUE: 1, FALSE: 0}
+    for e in sorted(reached, key=abs):
+        lvl, t, el = nodes[abs(e)]
+        if e < 0:
+            t, el = -t, -el
+        i = pos[lvl]
+        counts[e] = (counts[t] << (pos[level[abs(t)]] - i - 1)) \
+            + (counts[el] << (pos[level[abs(el)]] - i - 1))
+    root_count = counts[f] << pos[level[abs(f)]]
     # the sink seeds are exempt: for the constant-false root the 1-sink
     # entry (1) legitimately exceeds the root count (0)
     assert all(c <= root_count for e, c in counts.items() if abs(e) != 1), \

@@ -481,18 +481,17 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     assigned.  A state left over after all classes is a spec defect and
     raises :class:`GameSolveError` naming the layer.
 
-    The store's caches are dropped first.  The backward walk never looks
-    up a forward product entry; keeping the ``ite`` cache would spare it
-    5-10% of its ``ite`` calls, but it raised the memory peak traced
-    during a solve from 43.6 to 51.4 MB on a 4x3 connect-3 and from 23.4
-    to 25.3 MB on 4x4 lights-out.  After the last layer, each class is
-    joined over the layers into one value set (see
-    :class:`SolutionTable`), so that queries create no nodes.
+    Each layer step starts with empty kernel caches, as each forward
+    step of :func:`~lexbdd.search.layered_bfs` does, so cache memory
+    grows with one layer's work rather than the whole walk's; a dropped
+    result is made again as the same node, found in the unique table.
+    After the last layer, each class is joined over the layers into one
+    value set (see :class:`SolutionTable`), so that queries create no
+    nodes.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
-    store.clear_caches()
     limits = limits or SearchLimits()
     deadline = limits.deadline()
     class_keys, class_edges = _reward_classes(ts, spec)
@@ -514,6 +513,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     complete = True
 
     for d in range(last, -1, -1):
+        store.clear_caches()
         if (deadline is not None and time.perf_counter() > deadline) \
                 or limits.nodes_exceeded(store):
             complete = False

@@ -16,7 +16,8 @@ variables between their current and next copies itself, so every
 subimage comes out over the current variables and nothing is renamed.
 The breadth-first search stores each depth layer as its own BDD and
 subtracts everything seen before, so layers are disjoint and layer
-index equals BFS depth.
+index equals BFS depth.  Each step starts with empty kernel caches, so
+no cache entry outlives the layer step that made it.
 """
 
 from __future__ import annotations
@@ -271,6 +272,7 @@ def layered_bfs(ts: TransitionSystem, init: int,
     stats = [LayerStat("forward", 0, 0.0, store.node_count(), 0, table.root_count)]
     reached = init
     while True:
+        store.clear_caches()
         if deadline is not None and time.perf_counter() > deadline:
             return LayerSequence(layers, stats, reached, complete=False)
         if limits.nodes_exceeded(store):

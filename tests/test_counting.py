@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lexbdd import BddStore, precompute_counts
+from lexbdd import BddStore, precompute_counts, rank, unrank
 from lexbdd.bdd import FALSE, TRUE
 
 from helpers import corpus, enum_count, random_function
@@ -104,3 +104,23 @@ def test_projected_universe_rejects_outside_support():
     g = store.ite(store.var(0), store.var(1), store.var(2))
     with pytest.raises(ValueError):
         precompute_counts(store, g, levels=(0, 2, 3))
+
+
+def test_deep_order_counts_without_recursion():
+    # 1,200 counted levels: far deeper than Python's recursion limit
+    store = BddStore(2400)
+    evens = range(0, 2400, 2)
+    bits = tuple(int(i % 3 == 0) for i in evens)
+    f = store.cube({i: i % 3 == 0 for i in evens})
+    table = precompute_counts(store, f, evens)
+    assert table.root_count == 1
+    assert unrank(table, 0) == bits
+    assert rank(table, bits) == 0
+    # the complement, and a cube that leaves every other counted level free
+    rng = random.Random(2400)
+    for g, count in ((-f, (1 << 1200) - 1),
+                     (store.cube({i: i % 3 == 0 for i in range(0, 2400, 4)}), 1 << 600)):
+        table = precompute_counts(store, g, evens)
+        assert table.root_count == count
+        for r in (0, count - 1, *(rng.randrange(count) for _ in range(20))):
+            assert rank(table, unrank(table, r)) == r

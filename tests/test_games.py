@@ -8,12 +8,14 @@ import weakref
 
 import pytest
 
+import lexbdd.games
+import lexbdd.search
 from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, \
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
     parse_game, precompute_counts, solve
 from lexbdd.bdd import FALSE
 from lexbdd.games import formula_edge, parse_formula, state_edge
-from lexbdd.search import PartitionStrategy
+from lexbdd.search import PartitionStrategy, SearchLimits
 
 from explicit import ExplicitGame, eval_formula
 
@@ -386,18 +388,71 @@ def test_solve_partition_strategies_agree():
         assert other.initial_value() == base.initial_value()
 
 
-def test_solve_uses_one_quantification_kernel():
-    # the op cache holds only relational products, each keyed by its token
+def test_solve_uses_one_quantification_kernel(monkeypatch):
+    # the op cache holds only relational products, each keyed by its token;
+    # the caches are cleared every layer step, so look where products were
+    # just made: at the exit of every _subimages call
     spec = load_game(bundled_game_path("tictactoe"))
     ts = compile_game(spec)
-    strategy = PartitionStrategy.parse("fold-states-lex:8")
-    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
     store = ts.store
-    tokens = {product[0] for product in store._products.values()}
-    assert store._op_cache and {key[0] for key in store._op_cache} <= tokens
+    strategy = PartitionStrategy.parse("fold-states-lex:8")
+    snapshots = []
+
+    def recording(*args, **kwargs):
+        result = subimages(*args, **kwargs)
+        tokens = {product[0] for product in store._products.values()}
+        keys = {key[0] for key in store._op_cache}
+        assert keys <= tokens
+        snapshots.append((result[0], keys))
+        return result
+
+    subimages = lexbdd.search._subimages
+    monkeypatch.setattr(lexbdd.search, "_subimages", recording)
+    monkeypatch.setattr(lexbdd.games, "_subimages", recording)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    forward = snapshots[:]
     solve(ts, spec, layers, strategy)
-    tokens = {product[0] for product in store._products.values()}
-    assert store._op_cache and {key[0] for key in store._op_cache} <= tokens
+    backward = snapshots[len(forward):]
+    for phase in (forward, backward):
+        assert any(keys for _, keys in phase)
+        # a non-empty image came out of at least one product, and that is cached
+        assert all(keys for image, keys in phase if image != FALSE)
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_each_layer_step_starts_with_empty_caches(name, monkeypatch):
+    # the budget check opens every forward and backward layer step
+    spec = load_game(bundled_game_path(name))
+    probes = []
+
+    class CacheProbe(SearchLimits):
+        def nodes_exceeded(self, store):
+            probes.append((len(store._ite_cache), len(store._op_cache)))
+            return False
+
+    def run(strategy):
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy, CacheProbe())
+        forward_nodes = ts.store.node_count()
+        sol = solve(ts, spec, layers, strategy, CacheProbe())
+        return layers, forward_nodes, sol, ts.store.node_count()
+
+    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        strategy = PartitionStrategy.parse(text)
+        probes.clear()
+        layers, forward_nodes, sol, nodes = run(strategy)
+        assert sol.complete
+        # a forward step per layer after the first, one that finds the fix
+        # point, and a backward step per layer
+        assert len(probes) == 2 * len(layers.layers)
+        assert probes == [(0, 0)] * len(probes)
+        # a cleared result is made again as the node it was: a run that never
+        # clears makes the same nodes in the same order
+        with monkeypatch.context() as m:
+            m.setattr(BddStore, "clear_caches", lambda store: None)
+            kept = run(strategy)
+        assert (layers.layers, forward_nodes, sol.value_sets, nodes) == \
+            (kept[0].layers, kept[1], kept[2].value_sets, kept[3])
 
 
 @pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "disj-var"])

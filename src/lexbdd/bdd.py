@@ -41,16 +41,19 @@ _APPLY_OPS = ("and", "or", "xor")
 
 
 class BddStore:
-    """Append-only shared node store with a unique table.
+    """Shared node store with a unique table.
 
     The store is single-writer: every operation that may create nodes
-    needs exclusive access.  A store that is no longer mutated can be
-    read (``evaluate``, ``size``, traversals) from any number of
-    threads.  There is no garbage collection; throw the store away and
-    build a fresh one between independent workloads.  The ``ite`` and
-    relational-product caches are memo tables only: the layer loops of
-    ``search.layered_bfs`` and ``games.solve`` clear them at the start
-    of every step, and a dropped result is made again as the same node.
+    or remove them needs exclusive access.  A store that is no longer
+    mutated can be read (``evaluate``, ``size``, traversals) from any
+    number of threads.  Nodes are appended; only :meth:`compact`
+    removes them, and only nodes made after a point its caller names
+    and no longer holds.  The layer loops of ``search.layered_bfs`` and
+    ``games.solve`` compact the nodes they made themselves, so every
+    edge made before them keeps its meaning.  The ``ite`` and
+    relational-product caches are memo tables only: the layer loops
+    clear them at the start of every step, and a dropped result is
+    made again as the same function.
     """
 
     def __init__(self, variables: int | Iterable[str]):
@@ -87,7 +90,7 @@ class BddStore:
         return tuple(self._names)
 
     def node_count(self) -> int:
-        """Number of internal nodes ever created (the store never shrinks)."""
+        """Number of internal nodes the store holds; only :meth:`compact` lowers it."""
         return len(self._nodes) - 2
 
     def node(self, slot: int) -> tuple[int, int, int]:
@@ -395,8 +398,8 @@ class BddStore:
         accepts the result is the exact substitution.  Interleaved
         current/next state variables pass for the usual one-position
         shifts.  The nodes are rebuilt in one loop in slot order, which
-        puts every child before its parents, as the store only appends
-        nodes after their children; no cache is kept across calls.
+        puts every child before its parents, as the store keeps every
+        child in a lower slot; no cache is kept across calls.
         """
         levels: dict[int, int] = {}
         for k, v in mapping.items():
@@ -421,12 +424,86 @@ class BddStore:
         """Drop the ``ite`` and relational-product caches.
 
         Every edge made so far stays valid, as the node list and the
-        unique table are kept: a dropped result is recomputed to the same
-        edge.  The layer loops of ``search.layered_bfs`` and
+        unique table are kept: a dropped result is recomputed to the
+        same function.  The layer loops of ``search.layered_bfs`` and
         ``games.solve`` call this at the start of every step.
         """
         self._ite_cache.clear()
         self._op_cache.clear()
+
+    def compact(self, since: int, roots: Iterable[int]) -> list[int]:
+        """Remove the nodes made after the first ``since`` that no root reaches.
+
+        ``since`` is a past :meth:`node_count`.  The first ``since``
+        nodes never move, so every edge that existed when the store held
+        that many keeps its meaning.  Each surviving later node moves
+        down to its rank among the survivors, which keeps children in
+        lower slots.  Both caches are emptied, as their keys may name
+        removed or moved slots.  Returns ``roots`` remapped, in order;
+        only those edges stay valid among the ones made after ``since``.
+        The pass loops over the later slots and never recurses, so its
+        cost grows with the nodes made after ``since``, not with the
+        store.  Raises ``ValueError`` for a ``since`` above the count or
+        a root that is not an edge of the store.
+        """
+        nodes, levels, unique = self._nodes, self._level, self._unique
+        base, end = since + 2, len(nodes)
+        if not 2 <= base <= end:
+            raise ValueError(f"since must be in 0..{end - 2}, got {since}")
+        roots = list(roots)
+        live = bytearray(end - base)
+        for e in roots:
+            a = e if e > 0 else -e
+            if not 1 <= a < end:
+                raise ValueError(f"root {e} is not an edge of this store")
+            if a >= base:
+                live[a - base] = 1
+        # children sit in lower slots, so one downward sweep marks them all
+        for slot in range(end - 1, base - 1, -1):
+            if live[slot - base]:
+                _, t, el = nodes[slot]
+                if t >= base:
+                    live[t - base] = 1
+                if el < 0:
+                    el = -el
+                if el >= base:
+                    live[el - base] = 1
+        # slots below the first removed one keep their place; a moved
+        # node's new key may equal a later node's old one, so every old
+        # key from there on goes before any new one comes in
+        cut = live.find(0)
+        cut = end if cut < 0 else base + cut
+        for slot in range(cut, end):
+            del unique[nodes[slot]]
+        moved = [0] * (end - cut)
+        top = cut
+        for slot in range(cut, end):
+            if live[slot - base]:
+                lvl, t, el = nodes[slot]
+                if t >= cut:
+                    t = moved[t - cut]
+                if el >= cut:
+                    el = moved[el - cut]
+                elif el <= -cut:
+                    el = -moved[-el - cut]
+                key = (lvl, t, el)
+                nodes[top] = key
+                levels[top] = lvl
+                unique[key] = top
+                moved[slot - cut] = top
+                top += 1
+        del nodes[top:]
+        del levels[top:]
+        # a dict keeps the room of its deleted keys and, once that fills,
+        # grows to a table sized for more than it holds; when more nodes
+        # went than stayed, a copy sized to the survivors costs less than
+        # the removal did
+        if end - top > top:
+            self._unique = dict(unique)
+        self._ite_cache.clear()
+        self._op_cache.clear()
+        return [e if -cut < e < cut else moved[e - cut] if e > 0 else -moved[-e - cut]
+                for e in roots]
 
     # ------------------------------------------------------------------
     # read-only queries
@@ -494,7 +571,8 @@ class BddStore:
             if self._level[slot] != lvl:
                 raise AssertionError(f"slot {slot}: level array says {self._level[slot]}, node {lvl}")
             for child in (t, el):
-                # rename relies on this: children sit in lower slots
+                # rename, compact and precompute_counts rely on this:
+                # children sit in lower slots
                 if not 1 <= abs(child) < slot:
                     raise AssertionError(f"slot {slot}: edge {child} to a dangling or higher slot")
                 if self.level_of_edge(child) <= lvl:

@@ -464,6 +464,14 @@ def _preference_order(keys, player: int):
     return sorted(keys, key=lambda k: (-k[own], -k[other]))
 
 
+def _compact_values(store: BddStore, since: int, tables: list[dict]) -> None:
+    """Compact ``store`` past ``since``, keeping the edges ``tables`` map to, in place."""
+    edges = iter(store.compact(since, [e for table in tables for e in table.values()]))
+    for table in tables:
+        for key in table:
+            table[key] = next(edges)
+
+
 def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
           strategy: PartitionStrategy = NO_PARTITION,
           limits: SearchLimits | None = None) -> SolutionTable:
@@ -483,15 +491,20 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
 
     Each layer step starts with empty kernel caches, as each forward
     step of :func:`~lexbdd.search.layered_bfs` does, so cache memory
-    grows with one layer's work rather than the whole walk's; a dropped
-    result is made again as the same node, found in the unique table.
-    After the last layer, each class is joined over the layers into one
-    value set (see :class:`SolutionTable`), so that queries create no
-    nodes.
+    grows with one layer's work rather than the whole walk's.  A step
+    that finds the store more than doubled since the last compaction
+    (or since the call began) first compacts the nodes this call made,
+    keeping the reward classes, the movers' sets and the classes of the
+    layers already solved; every edge made before the call, the layers
+    among them, keeps its meaning.  After the last layer, each class is
+    joined over the layers into one value set (see
+    :class:`SolutionTable`), so that queries create no nodes, and the
+    caches are emptied, so a solved store holds no cache entry.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
+    since = kept = store.node_count()
     limits = limits or SearchLimits()
     deadline = limits.deadline()
     class_keys, class_edges = _reward_classes(ts, spec)
@@ -514,6 +527,9 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
 
     for d in range(last, -1, -1):
         store.clear_caches()
+        if store.node_count() > 2 * kept:
+            _compact_values(store, since, [class_edges, can_move, *layer_classes[d + 1:]])
+            kept = store.node_count()
         if (deadline is not None and time.perf_counter() > deadline) \
                 or limits.nodes_exceeded(store):
             complete = False
@@ -578,6 +594,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
             union = store.apply("or", union, classes.get(key, FALSE))
         if union != FALSE:
             value_sets.append((key, union))
+    store.clear_caches()
     return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,
                          layer_classes=layer_classes, value_sets=tuple(value_sets),
                          stats=stats, complete=complete)

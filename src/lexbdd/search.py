@@ -17,7 +17,8 @@ subimage comes out over the current variables and nothing is renamed.
 The breadth-first search stores each depth layer as its own BDD and
 subtracts everything seen before, so layers are disjoint and layer
 index equals BFS depth.  Each step starts with empty kernel caches, so
-no cache entry outlives the layer step that made it.
+no cache entry outlives the layer step that made it, and a step that
+finds the store doubled first removes the nodes no layer holds.
 """
 
 from __future__ import annotations
@@ -136,8 +137,11 @@ NO_PARTITION = PartitionStrategy("none")
 class SearchLimits:
     """Wall-clock and store-size budget for one exploration.
 
-    ``None`` means unbounded.  A budget must be a number ``>= 0``; a
-    NaN budget would never bind, so it is rejected too.
+    The node budget bounds :meth:`BddStore.node_count`, the nodes the
+    store holds when a layer step begins, after any compaction; both
+    budgets are checked there only.  ``None`` means unbounded.  A
+    budget must be a number ``>= 0``; a NaN budget would never bind,
+    so it is rejected too.
     """
     time_s: float | None = None
     max_nodes: int | None = None
@@ -164,6 +168,8 @@ class LayerStat:
     ``max_image_nodes`` is the largest diagram, in nodes, among the
     layer's subimages and the images they merge into; it does not
     depend on the order of the actions or of the merge.
+    ``total_nodes`` is the store's node count at the end of the step,
+    after any compaction at its start.
     """
     direction: str
     index: int
@@ -258,11 +264,16 @@ def layered_bfs(ts: TransitionSystem, init: int,
 
     Each new layer is the image of the previous one minus every state
     seen so far; the search stops at the fix point or when a budget runs
-    out, in which case the sequence is flagged incomplete.
+    out, in which case the sequence is flagged incomplete.  A step that
+    finds the store more than doubled since the last compaction (or
+    since the call began) first compacts the nodes this call made,
+    keeping its layers and ``reached``; so every edge made before the
+    call keeps its meaning, and so does every edge it returns.
     """
     if init == FALSE:
         raise ValueError("initial state set is empty")
     store = ts.store
+    since = kept = store.node_count()
     limits = limits or SearchLimits()
     deadline = limits.deadline()
 
@@ -273,6 +284,10 @@ def layered_bfs(ts: TransitionSystem, init: int,
     reached = init
     while True:
         store.clear_caches()
+        if store.node_count() > 2 * kept:
+            *layers, reached = store.compact(since, [*layers, reached])
+            table = precompute_counts(store, layers[-1], ts.current)
+            kept = store.node_count()
         if deadline is not None and time.perf_counter() > deadline:
             return LayerSequence(layers, stats, reached, complete=False)
         if limits.nodes_exceeded(store):

@@ -195,6 +195,7 @@ def test_criterion_6_partition_invariance_of_search():
             strategy = PartitionStrategy.parse(text)
             layers = layered_bfs(ts, init, strategy)
             solution = solve(ts, spec, layers, strategy)
+            ts.store.check()
             runs[text] = (layers, solution)
         base_layers, base_solution = runs["none"]
         base_counts = [s.states for s in base_layers.stats]
@@ -219,6 +220,7 @@ def test_criterion_7_tictactoe_strong_solution():
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec))
     solution = solve(ts, spec, layers)
+    ts.store.check()
 
     explicit = ExplicitGame(spec)
     explicit_layers = explicit.bfs_layers()

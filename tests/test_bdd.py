@@ -10,7 +10,7 @@ import pytest
 from lexbdd import BddStore
 from lexbdd.bdd import FALSE, TRUE
 
-from helpers import all_assignments, enum_count, random_function, satisfying
+from helpers import all_assignments, enum_count, random_function, random_table, satisfying
 
 
 def test_sink_conventions():
@@ -565,6 +565,86 @@ def test_clear_caches_keeps_results():
     f = store.apply("or", store.var(0), store.var(3))
     store.clear_caches()
     assert store.apply("or", store.var(0), store.var(3)) == f
+
+
+def _truth_table(store, e, n):
+    return [store.evaluate(e, bits) for bits in all_assignments(n)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_compact_keeps_roots_and_every_older_slot(seed, where, monkeypatch):
+    # compact must empty the caches itself, not through clear_caches
+    monkeypatch.setattr(BddStore, "clear_caches", lambda store: None)
+    n = 10
+    rng = random.Random(seed)
+    store = BddStore(n)
+    edges = []
+    since = 0
+    for i in range(8):
+        if i == 4 and where == "middle":
+            since = store.node_count()
+        f = store.from_truth_table(random_table(rng, n, rng.choice((0.2, 0.5, 0.8))))
+        if edges:
+            # ite leaves dead intermediates and cache entries behind
+            f = store.apply(rng.choice(("and", "or", "xor")), f, rng.choice(edges))
+        edges.append(-f if rng.random() < 0.5 else f)
+    if where == "end":
+        since = store.node_count()
+    assert store._ite_cache
+    roots = rng.sample(edges, 3) + [TRUE, FALSE]
+    tables = [_truth_table(store, e, n) for e in roots]
+    older = [store.node(slot) for slot in range(2, since + 2)]
+    later = store.node_count() - since
+    remapped = store.compact(since, roots)
+    assert [_truth_table(store, e, n) for e in remapped] == tables
+    assert [store.node(slot) for slot in range(2, since + 2)] == older
+    for e, new in zip(roots, remapped):
+        if abs(e) < since + 2:
+            assert new == e
+    store.check()
+    assert (len(store._ite_cache), len(store._op_cache)) == (0, 0)
+    # only what the roots reach survives past since
+    kept = {slot for slot in store.descendants(*remapped) if slot >= since + 2}
+    assert store.node_count() == since + len(kept) <= since + later
+    if where == "end":
+        assert remapped == roots
+    # the unique table finds every survivor again: a rebuild makes no node
+    nodes = store.node_count()
+    for e, table in zip(remapped, tables):
+        assert store.from_truth_table(table) == e
+    assert store.node_count() == nodes
+
+
+def test_compact_walks_deep_chains_without_recursion():
+    # 2,400 levels, far deeper than Python's recursion limit
+    n = 2400
+    store = BddStore(n)
+    store.cube({lvl: lvl % 3 == 0 for lvl in range(n)})  # dead, below the chain
+    bits = [lvl % 2 for lvl in range(n)]
+    chain = store.cube({lvl: bool(b) for lvl, b in enumerate(bits)})
+    [moved] = store.compact(0, [-chain])
+    assert store.node_count() == n
+    store.check()
+    assert store.evaluate(moved, bits) is False
+    assert store.evaluate(moved, [1 - b for b in bits]) is True
+    assert store.cube({lvl: bool(b) for lvl, b in enumerate(bits)}) == -moved
+
+
+def test_compact_rejects_bad_arguments():
+    store = BddStore(3)
+    f = store.apply("and", store.var(0), store.var(1))
+    with pytest.raises(ValueError):
+        store.compact(store.node_count() + 1, [f])
+    with pytest.raises(ValueError):
+        store.compact(-1, [f])
+    for bad in (0, store.node_count() + 2):
+        with pytest.raises(ValueError):
+            store.compact(0, [bad])
+    [g] = store.compact(0, [f])  # drops the unreachable node of x0
+    assert store.node_count() == 2
+    assert satisfying(store, g) == [(1, 1, 0), (1, 1, 1)]
+    store.check()
 
 
 def test_dot_export_conventions():

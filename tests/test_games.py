@@ -20,12 +20,17 @@ from lexbdd.search import PartitionStrategy, SearchLimits
 from explicit import ExplicitGame, eval_formula
 
 
+STRATEGIES = ("none", "fold-states-lex:8", "states-lex:64", "disj-var")
+
+
 def _solved(name, strategy=None):
     spec = load_game(bundled_game_path(name))
     ts = compile_game(spec)
     strat = PartitionStrategy.parse(strategy) if strategy else PartitionStrategy("none")
     layers = layered_bfs(ts, initial_edge(ts, spec), strat)
-    return spec, ts, layers, solve(ts, spec, layers, strat)
+    sol = solve(ts, spec, layers, strat)
+    ts.store.check()
+    return spec, ts, layers, sol
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +259,7 @@ reward 1 0: !a
     layers = layered_bfs(ts, initial_edge(ts, spec))
     assert len(layers.layers) == 1
     sol = solve(ts, spec, layers)
+    ts.store.check()
     assert sol.initial_value() == (42,)
 
 
@@ -412,6 +418,7 @@ def test_solve_uses_one_quantification_kernel(monkeypatch):
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
     forward = snapshots[:]
     solve(ts, spec, layers, strategy)
+    ts.store.check()
     backward = snapshots[len(forward):]
     for phase in (forward, backward):
         assert any(keys for _, keys in phase)
@@ -435,9 +442,10 @@ def test_each_layer_step_starts_with_empty_caches(name, monkeypatch):
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy, CacheProbe())
         forward_nodes = ts.store.node_count()
         sol = solve(ts, spec, layers, strategy, CacheProbe())
+        ts.store.check()
         return layers, forward_nodes, sol, ts.store.node_count()
 
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in STRATEGIES:
         strategy = PartitionStrategy.parse(text)
         probes.clear()
         layers, forward_nodes, sol, nodes = run(strategy)
@@ -453,6 +461,82 @@ def test_each_layer_step_starts_with_empty_caches(name, monkeypatch):
             kept = run(strategy)
         assert (layers.layers, forward_nodes, sol.value_sets, nodes) == \
             (kept[0].layers, kept[1], kept[2].value_sets, kept[3])
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_solve_returns_a_checked_store_with_empty_caches(name):
+    # no cache entry outlives the value-set unions; queries never read one
+    spec = load_game(bundled_game_path(name))
+    for text in STRATEGIES:
+        strategy = PartitionStrategy.parse(text)
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        sol = solve(ts, spec, layers, strategy)
+        assert sol.complete
+        assert (len(ts.store._ite_cache), len(ts.store._op_cache)) == (0, 0)
+        ts.store.check()
+
+
+def _full_assignment(store, state, nxt):
+    full = [0] * store.n
+    full[0::2] = state
+    full[1::2] = nxt
+    return full
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
+    # one store through all four strategies: the edges made before a search,
+    # and those every earlier search and solve returned, keep their meaning
+    spec = load_game(bundled_game_path(name))
+    game = ExplicitGame(spec)
+    explicit_layers = game.bfs_layers()
+    reachable = sorted(set().union(*explicit_layers))
+    ts = compile_game(spec)
+    store = ts.store
+    # each reachable state with its first successor (or itself) as next
+    # state, and with next bits drawn at random
+    rng = random.Random(name)
+    points = []
+    for state in reachable:
+        points.append(_full_assignment(store, state, (game.successors(state) or [state])[0]))
+        points.append(_full_assignment(store, state, [rng.randint(0, 1) for _ in state]))
+    init = initial_edge(ts, spec)
+    held = [init, formula_edge(ts, spec, spec.rewards[1][0][1]), ts.sink,
+            *(rel.edge for rel in ts.relations)]
+
+    def truth_tables():
+        return [[store.evaluate(e, p) for p in points] for e in held]
+
+    before = truth_tables()
+    removed = []
+    compact = BddStore.compact
+
+    def counted(self, since, roots):
+        nodes = self.node_count()
+        out = compact(self, since, roots)
+        removed.append(nodes - self.node_count())
+        return out
+
+    monkeypatch.setattr(BddStore, "compact", counted)
+    solved = []
+    for text in STRATEGIES:
+        strategy = PartitionStrategy.parse(text)
+        layers = layered_bfs(ts, init, strategy)
+        sol = solve(ts, spec, layers, strategy)
+        store.check()
+        assert sol.complete
+        assert truth_tables() == before
+        solved.append((layers, sol))
+    if name not in ("counter3", "duel"):  # their stores never double inside a call
+        assert sum(removed) > 0
+    for layers, sol in solved:
+        for edge, states in zip(layers.layers, explicit_layers, strict=True):
+            assert precompute_counts(store, edge, ts.current).root_count == len(states)
+            for state in states:
+                assert store.evaluate(edge, _full_assignment(store, state, state))
+        for state in reachable:
+            assert sol.value_of(state) == game.value(state)
 
 
 @pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "disj-var"])
@@ -522,10 +606,11 @@ def test_value_sets_agree_with_the_layer_scan(name):
     spec = load_game(bundled_game_path(name))
     ts = compile_game(spec)
     store = ts.store
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in STRATEGIES:
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
         sol = solve(ts, spec, layers, strategy)
+        store.check()
         union = FALSE
         edges = [edge for _, edge in sol.value_sets]
         for i, e in enumerate(edges):

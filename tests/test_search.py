@@ -161,6 +161,7 @@ def test_peak_does_not_depend_on_action_order(name):
                 ts = dataclasses.replace(ts, relations=ts.relations[::-1])
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
             table = solve(ts, spec, layers, strategy)
+            ts.store.check()
             rows.append([(r.direction, r.index, r.max_image_nodes, r.states)
                          for r in layers.stats + table.stats])
         assert rows[0] == rows[1], text
@@ -380,6 +381,7 @@ def test_images_never_rename(monkeypatch):
             ts = compile_game(spec)
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
             assert solve(ts, spec, layers, strategy).complete
+            ts.store.check()
 
 
 def test_sink_states_have_no_successors(counter):

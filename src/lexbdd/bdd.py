@@ -48,12 +48,10 @@ class BddStore:
     mutated can be read (``evaluate``, ``size``, traversals) from any
     number of threads.  Nodes are appended; only :meth:`compact`
     removes them, and only nodes made after a point its caller names
-    and no longer holds.  The layer loops of ``search.layered_bfs`` and
-    ``games.solve`` compact the nodes they made themselves, so every
-    edge made before them keeps its meaning.  The ``ite`` and
-    relational-product caches are memo tables only: the layer loops
-    clear them at the start of every step, and a dropped result is
-    made again as the same function.
+    and no longer holds.  The ``ite`` and relational-product caches are
+    memo tables only: a dropped result is made again as the same
+    function.  ``search._LayerSteps`` decides when the layer loops
+    clear the caches and compact.
     """
 
     def __init__(self, variables: int | Iterable[str]):
@@ -84,10 +82,6 @@ class BddStore:
     def n(self) -> int:
         """Number of variables in the fixed order."""
         return len(self._names)
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(self._names)
 
     def node_count(self) -> int:
         """Number of internal nodes the store holds; only :meth:`compact` lowers it."""
@@ -142,11 +136,6 @@ class BddStore:
             self._unique[key] = slot
         return sign * slot
 
-    @staticmethod
-    def negate(e: int) -> int:
-        """Complement a function; constant time, never allocates."""
-        return -e
-
     def var(self, which: int | str) -> int:
         """Edge for the single-variable function at a level (or by name)."""
         level = self._level_by_name[which] if isinstance(which, str) else which
@@ -161,21 +150,6 @@ class BddStore:
             else:
                 e = self.mk_node(level, FALSE, e)
         return e
-
-    def from_truth_table(self, table: Sequence) -> int:
-        """Build the canonical BDD of a full truth table.
-
-        ``table[i]`` is the value of the function on the assignment
-        whose bits (level 0 first, most significant) encode ``i``.
-        """
-        n = len(self._names)
-        if len(table) != 1 << n:
-            raise ValueError(f"need {1 << n} entries, got {len(table)}")
-
-        row = [TRUE if v else FALSE for v in table]
-        for level in range(n - 1, -1, -1):
-            row = [self.mk_node(level, row[i + 1], row[i]) for i in range(0, len(row), 2)]
-        return row[0]
 
     # ------------------------------------------------------------------
     # boolean operations
@@ -295,8 +269,8 @@ class BddStore:
         would reorder two levels raises ``ValueError``; two levels a map
         sends to one must not both occur (in ``g``, or in the result).
         No two operands are compared, only each with the constants: a
-        mapped ``g`` is not the function its edge names.  :meth:`exists`
-        sets ``g = c = TRUE``.
+        mapped ``g`` is not the function its edge names.  Plain
+        quantification is the product with ``g = c = TRUE``.
         """
         q = self.validate_levels(levels)
         read, write = (tuple(sorted((k, v) for k, v in (m or {}).items() if k != v))
@@ -312,10 +286,6 @@ class BddStore:
             product = (len(self._products), quant, rlev, wlev)
             self._products[q, read, write] = product
         return self._and_exists_rec(product, f, g, c)
-
-    def exists(self, levels: Iterable[int], f: int) -> int:
-        """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
-        return self.and_exists(levels, f, TRUE)
 
     def _and_exists_rec(self, product: tuple, f: int, g: int, c: int) -> int:
         tok, quant, rlev, wlev = product
@@ -425,8 +395,7 @@ class BddStore:
 
         Every edge made so far stays valid, as the node list and the
         unique table are kept: a dropped result is recomputed to the
-        same function.  The layer loops of ``search.layered_bfs`` and
-        ``games.solve`` call this at the start of every step.
+        same function.
         """
         self._ite_cache.clear()
         self._op_cache.clear()

@@ -35,7 +35,7 @@ from importlib import resources
 
 from .bdd import FALSE, TRUE, BddStore
 from .search import (LayerSequence, LayerStat, NO_PARTITION, PartitionStrategy,
-                     Relation, SearchLimits, TransitionSystem, _subimages)
+                     Relation, SearchLimits, TransitionSystem, _LayerSteps, _subimages)
 
 
 class GameSpecError(ValueError):
@@ -337,7 +337,7 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
     return result
 
 
-def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSystem:
+def compile_game(spec: GameSpec) -> TransitionSystem:
     """Build one transition relation per action and the terminal sink set.
 
     Variable ``i`` of the spec sits at level ``2i`` and its next copy at
@@ -345,16 +345,10 @@ def compile_game(spec: GameSpec, store: BddStore | None = None) -> TransitionSys
     relation is the precondition and one biconditional per written
     variable, with no frame axioms, so it mentions the next copy of
     exactly the variables its action writes (see :class:`Relation`).
-    The terminal formula becomes the ``sink`` set.
+    The terminal formula becomes the ``sink`` set.  Each call makes a
+    fresh store.
     """
-    names = []
-    for v in spec.variables:
-        names.append(v)
-        names.append(v + "'")
-    if store is None:
-        store = BddStore(names)
-    elif store.var_names != tuple(names):
-        raise ValueError("store variable order does not match the game spec")
+    store = BddStore(name for v in spec.variables for name in (v, v + "'"))
     cur = {v: 2 * i for i, v in enumerate(spec.variables)}
 
     relations = []
@@ -464,14 +458,6 @@ def _preference_order(keys, player: int):
     return sorted(keys, key=lambda k: (-k[own], -k[other]))
 
 
-def _compact_values(store: BddStore, since: int, tables: list[dict]) -> None:
-    """Compact ``store`` past ``since``, keeping the edges ``tables`` map to, in place."""
-    edges = iter(store.compact(since, [e for table in tables for e in table.values()]))
-    for table in tables:
-        for key in table:
-            table[key] = next(edges)
-
-
 def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
           strategy: PartitionStrategy = NO_PARTITION,
           limits: SearchLimits | None = None) -> SolutionTable:
@@ -489,24 +475,19 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     assigned.  A state left over after all classes is a spec defect and
     raises :class:`GameSolveError` naming the layer.
 
-    Each layer step starts with empty kernel caches, as each forward
-    step of :func:`~lexbdd.search.layered_bfs` does, so cache memory
-    grows with one layer's work rather than the whole walk's.  A step
-    that finds the store more than doubled since the last compaction
-    (or since the call began) first compacts the nodes this call made,
-    keeping the reward classes, the movers' sets and the classes of the
-    layers already solved; every edge made before the call, the layers
-    among them, keeps its meaning.  After the last layer, each class is
-    joined over the layers into one value set (see
-    :class:`SolutionTable`), so that queries create no nodes, and the
-    caches are emptied, so a solved store holds no cache entry.
+    Between layer steps, as in :func:`~lexbdd.search.layered_bfs`,
+    :class:`~lexbdd.search._LayerSteps` keeps the reward classes, the
+    movers' sets and the classes of the layers already solved; every
+    edge made before the call, the layers among them, keeps its meaning.
+    After the last layer, each class is joined over the layers into one
+    value set (see :class:`SolutionTable`), so that queries create no
+    nodes, and the caches are emptied, so a solved store holds no cache
+    entry.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
-    since = kept = store.node_count()
-    limits = limits or SearchLimits()
-    deadline = limits.deadline()
+    steps = _LayerSteps(store, limits)
     class_keys, class_edges = _reward_classes(ts, spec)
     can_move = {}
     by_player: dict[int, tuple[Relation, ...]] = {}
@@ -526,12 +507,11 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     complete = True
 
     for d in range(last, -1, -1):
-        store.clear_caches()
-        if store.node_count() > 2 * kept:
-            _compact_values(store, since, [class_edges, can_move, *layer_classes[d + 1:]])
-            kept = store.node_count()
-        if (deadline is not None and time.perf_counter() > deadline) \
-                or limits.nodes_exceeded(store):
+        held = [class_edges, can_move, *layer_classes[d + 1:]]
+        edges = iter(steps.start([e for table in held for e in table.values()]))
+        for table in held:
+            table.update({key: next(edges) for key in table})
+        if steps.exhausted():
             complete = False
             break
         t0 = time.perf_counter()

@@ -16,9 +16,8 @@ variables between their current and next copies itself, so every
 subimage comes out over the current variables and nothing is renamed.
 The breadth-first search stores each depth layer as its own BDD and
 subtracts everything seen before, so layers are disjoint and layer
-index equals BFS depth.  Each step starts with empty kernel caches, so
-no cache entry outlives the layer step that made it, and a step that
-finds the store doubled first removes the nodes no layer holds.
+index equals BFS depth.  What happens between two layer steps, of the
+search and of the backward solve alike, is up to :class:`_LayerSteps`.
 """
 
 from __future__ import annotations
@@ -137,9 +136,9 @@ NO_PARTITION = PartitionStrategy("none")
 class SearchLimits:
     """Wall-clock and store-size budget for one exploration.
 
-    The node budget bounds :meth:`BddStore.node_count`, the nodes the
-    store holds when a layer step begins, after any compaction; both
-    budgets are checked there only.  ``None`` means unbounded.  A
+    The node budget bounds :meth:`BddStore.node_count` when a layer
+    step begins; both budgets are checked there only (see
+    :class:`_LayerSteps`).  ``None`` means unbounded.  A
     budget must be a number ``>= 0``; a NaN budget would never bind,
     so it is rejected too.
     """
@@ -159,6 +158,39 @@ class SearchLimits:
 
     def nodes_exceeded(self, store: BddStore) -> bool:
         return self.max_nodes is not None and store.node_count() > self.max_nodes
+
+
+class _LayerSteps:
+    """What happens between the layer steps of one search or solve.
+
+    Each step starts with :meth:`start`, which empties the kernel
+    caches, so no cache entry outlives the step that made it.  Once the
+    store holds more than twice the nodes it held after the last
+    compaction (or when the search began), ``start`` also compacts the
+    nodes made since the search began, keeping the edges the caller
+    hands it; every edge made before the search keeps its meaning.
+    :meth:`exhausted` then applies both budgets of ``limits``.
+    """
+
+    def __init__(self, store: BddStore, limits: SearchLimits | None):
+        self.store = store
+        self.limits = limits or SearchLimits()
+        self.since = self.kept = store.node_count()
+        self.deadline = self.limits.deadline()
+
+    def start(self, roots: list[int]) -> list[int]:
+        """Begin a step; returns ``roots``, remapped if the store was compacted."""
+        store = self.store
+        store.clear_caches()
+        if store.node_count() > 2 * self.kept:
+            roots = store.compact(self.since, roots)
+            self.kept = store.node_count()
+        return roots
+
+    def exhausted(self) -> bool:
+        """Whether the time or the node budget has run out."""
+        return (self.deadline is not None and time.perf_counter() > self.deadline) \
+            or self.limits.nodes_exceeded(self.store)
 
 
 @dataclass
@@ -264,33 +296,26 @@ def layered_bfs(ts: TransitionSystem, init: int,
 
     Each new layer is the image of the previous one minus every state
     seen so far; the search stops at the fix point or when a budget runs
-    out, in which case the sequence is flagged incomplete.  A step that
-    finds the store more than doubled since the last compaction (or
-    since the call began) first compacts the nodes this call made,
-    keeping its layers and ``reached``; so every edge made before the
-    call keeps its meaning, and so does every edge it returns.
+    out, in which case the sequence is flagged incomplete.  Between
+    steps, :class:`_LayerSteps` keeps the layers and ``reached``, so
+    every edge made before the call keeps its meaning, and so does every
+    edge it returns.
     """
     if init == FALSE:
         raise ValueError("initial state set is empty")
     store = ts.store
-    since = kept = store.node_count()
-    limits = limits or SearchLimits()
-    deadline = limits.deadline()
-
-    # each layer is counted once, for its LayerStat and as the next source
-    table = precompute_counts(store, init, ts.current)
+    steps = _LayerSteps(store, limits)
     layers = [init]
-    stats = [LayerStat("forward", 0, 0.0, store.node_count(), 0, table.root_count)]
     reached = init
+    stats = []
+    made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
     while True:
-        store.clear_caches()
-        if store.node_count() > 2 * kept:
-            *layers, reached = store.compact(since, [*layers, reached])
-            table = precompute_counts(store, layers[-1], ts.current)
-            kept = store.node_count()
-        if deadline is not None and time.perf_counter() > deadline:
-            return LayerSequence(layers, stats, reached, complete=False)
-        if limits.nodes_exceeded(store):
+        *layers, reached = steps.start([*layers, reached])
+        # each layer is counted once, after any compaction, for its
+        # LayerStat and as the next source
+        table = precompute_counts(store, layers[-1], ts.current)
+        stats.append(LayerStat("forward", len(layers) - 1, *made, table.root_count))
+        if steps.exhausted():
             return LayerSequence(layers, stats, reached, complete=False)
         t0 = time.perf_counter()
         successors, peak = _subimages(ts, table, strategy, forward=True)
@@ -300,6 +325,4 @@ def layered_bfs(ts: TransitionSystem, init: int,
             return LayerSequence(layers, stats, reached, complete=True)
         layers.append(frontier)
         reached = store.apply("or", reached, frontier)
-        table = precompute_counts(store, frontier, ts.current)
-        stats.append(LayerStat("forward", len(layers) - 1, elapsed_ms,
-                               store.node_count(), peak, table.root_count))
+        made = (elapsed_ms, store.node_count(), peak)

@@ -9,6 +9,32 @@ import itertools
 import random
 
 from lexbdd import BddStore
+from lexbdd.bdd import FALSE, TRUE
+
+
+def from_truth_table(store: BddStore, table) -> int:
+    """Build the canonical BDD of a full truth table over all of the store's levels.
+
+    ``table[i]`` is the value of the function on the assignment whose
+    bits (level 0 first, most significant) encode ``i``.
+    """
+    n = store.n
+    if len(table) != 1 << n:
+        raise ValueError(f"need {1 << n} entries, got {len(table)}")
+    row = [TRUE if v else FALSE for v in table]
+    for level in range(n - 1, -1, -1):
+        row = [store.mk_node(level, row[i + 1], row[i]) for i in range(0, len(row), 2)]
+    return row[0]
+
+
+def exists(store: BddStore, levels, f: int) -> int:
+    """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
+    return store.and_exists(levels, f, TRUE)
+
+
+def negate(e: int) -> int:
+    """Complement a function; constant time, never allocates."""
+    return -e
 
 
 def random_table(rng: random.Random, n: int, density: float = 0.5):
@@ -20,7 +46,7 @@ def random_function(rng: random.Random, n: int, density: float = 0.5,
     """Fresh store plus a random function built from a truth table."""
     store = BddStore(n)
     table = random_table(rng, n, density)
-    f = store.from_truth_table(table)
+    f = from_truth_table(store, table)
     if complemented:
         # exercise functions reached only through a complement mark
         f = -f
@@ -64,8 +90,6 @@ def check_lex_partition(store, f, n, part, total, k):
     4. parts are pairwise disjoint;
     5. each part is exactly f within its half-open lex window.
     """
-    from lexbdd.bdd import FALSE
-
     cuts, parts = part.cuts, part.parts
     assert cuts[-1] == (1,) * n
     assert all(a < b for a, b in zip(cuts, cuts[1:]))

@@ -16,7 +16,8 @@ from lexbdd.ranking import _rank_walk, _unrank_walk
 from lexbdd.search import PartitionStrategy
 
 from explicit import ExplicitGame
-from helpers import all_assignments, check_lex_partition, random_table, satisfying
+from helpers import all_assignments, check_lex_partition, from_truth_table, \
+    random_table, satisfying
 
 BUNDLED_GAMES = ("counter3", "duel", "lightsout3", "connect3", "tictactoe")
 STRATEGIES = ("none", "fold-states-lex:8", "states-lex:32", "disj-var")
@@ -38,7 +39,7 @@ def _corpus_specs(seed: int, count: int, sizes=range(4, 13)):
 def _materialize(spec):
     n, density, sub_seed, complemented = spec
     store = BddStore(n)
-    f = store.from_truth_table(random_table(random.Random(sub_seed), n, density))
+    f = from_truth_table(store, random_table(random.Random(sub_seed), n, density))
     if complemented:
         f = -f
     return store, f, n
@@ -115,7 +116,7 @@ def test_criterion_3_split_theorems():
                 any(b > cut for b in left) or any(b <= cut for b in right):
             failures.append((spec, "set identities"))
         for part in (pair.left, pair.right):
-            rebuilt = store.from_truth_table(
+            rebuilt = from_truth_table(store,
                 [store.evaluate(part, bits) for bits in all_assignments(n)])
             if rebuilt != part:
                 failures.append((spec, "not canonical"))
@@ -171,7 +172,7 @@ def test_criterion_5_lex_partition_definition():
     bits = [True] * 1000 + [False] * 24
     rng.shuffle(bits)
     store = BddStore(10)
-    f = store.from_truth_table(bits)
+    f = from_truth_table(store, bits)
     table = precompute_counts(store, f)
     for k in (2, 8):
         part = fold_states_lex(table, k)

@@ -10,7 +10,8 @@ import pytest
 from lexbdd import BddStore
 from lexbdd.bdd import FALSE, TRUE
 
-from helpers import all_assignments, enum_count, random_function, random_table, satisfying
+from helpers import all_assignments, enum_count, exists, from_truth_table, negate, \
+    random_function, random_table, satisfying
 
 
 def test_sink_conventions():
@@ -59,8 +60,8 @@ def test_complement_involution_and_cost():
     f = store.apply("or", store.var(0), store.var(2))
     before = store.node_count()
     assert -(-f) == f
-    assert store.negate(store.negate(f)) == f
-    assert store.negate(FALSE) == TRUE
+    assert negate(negate(f)) == f
+    assert negate(FALSE) == TRUE
     assert store.node_count() == before
 
 
@@ -90,7 +91,7 @@ def test_apply_against_enumeration(op, fn):
     rng = random.Random(7)
     for _ in range(20):
         store, f, table_f = random_function(rng, 5)
-        g = store.from_truth_table(random_table := [rng.random() < 0.5 for _ in range(32)])
+        g = from_truth_table(store, random_table := [rng.random() < 0.5 for _ in range(32)])
         h = store.apply(op, f, g)
         for i, bits in enumerate(all_assignments(5)):
             assert store.evaluate(h, bits) == fn(bool(table_f[i]), bool(random_table[i]))
@@ -103,7 +104,7 @@ def test_ite_against_enumeration():
     for _ in range(10):
         store = BddStore(5)
         tables = [[rng.random() < 0.5 for _ in range(32)] for _ in range(3)]
-        f, g, h = (store.from_truth_table(t) for t in tables)
+        f, g, h = (from_truth_table(store, t) for t in tables)
         rows = list(all_assignments(5))
         for sf, sg, sh in itertools.product((1, -1), repeat=3):
             fs = sf * f
@@ -121,7 +122,7 @@ def test_ite_against_enumeration():
 def test_equivalent_ite_calls_share_one_cache_line():
     rng = random.Random(3)
     store = BddStore(6)
-    f, g, h = (store.from_truth_table([rng.random() < 0.5 for _ in range(64)])
+    f, g, h = (from_truth_table(store, [rng.random() < 0.5 for _ in range(64)])
                for _ in range(3))
     r = store.ite(f, g, h)
     cached = len(store._ite_cache)
@@ -157,22 +158,22 @@ def test_check_catches_a_child_in_a_higher_slot():
 def test_exists_drops_an_independent_variable():
     store = BddStore(3)
     x, g = store.var(0), store.var(2)
-    assert store.exists([0], store.apply("and", x, g)) == g
-    assert store.exists([], g) == g
+    assert exists(store, [0], store.apply("and", x, g)) == g
+    assert exists(store, [], g) == g
 
 
 def test_exists_full_quantification():
     rng = random.Random(3)
     store, f, table = random_function(rng, 6, density=0.2)
     expected = TRUE if any(table) else FALSE
-    assert store.exists(range(6), f) == expected
+    assert exists(store, range(6), f) == expected
 
 
 def test_exists_xor_example():
     store = BddStore(2)
     f = store.apply("xor", store.var(0), store.var(1))
     # any x1 value extends to a model once x2 is free
-    assert store.exists([1], f) == TRUE
+    assert exists(store, [1], f) == TRUE
 
 
 def test_exists_matches_enumeration():
@@ -180,7 +181,7 @@ def test_exists_matches_enumeration():
     for _ in range(15):
         store, f, _ = random_function(rng, 6)
         qvars = sorted(rng.sample(range(6), rng.randint(1, 3)))
-        g = store.exists(qvars, f)
+        g = exists(store, qvars, f)
         for bits in all_assignments(6):
             expected = False
             for sub in itertools.product((0, 1), repeat=len(qvars)):
@@ -196,7 +197,7 @@ def test_exists_matches_enumeration():
 def test_exists_rejects_unknown_levels():
     store = BddStore(3)
     with pytest.raises(ValueError):
-        store.exists([5], TRUE)
+        exists(store, [5], TRUE)
 
 
 def test_and_exists_base_cases():
@@ -224,7 +225,7 @@ def test_and_exists_matches_enumeration():
     for _ in range(50):
         store, f, f_table = random_function(rng, 10, density=rng.choice((0.3, 0.5, 0.8)))
         g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
-        g = store.from_truth_table(g_table)
+        g = from_truth_table(store, g_table)
         qvars = rng.sample(range(10), rng.randint(1, 6))
         conj = [a and b for a, b in zip(f_table, g_table)]
         assert _table_of(store, store.and_exists(qvars, f, g), 10) == \
@@ -246,8 +247,8 @@ def test_and_exists_terminal_cases_match_enumeration():
                     _projected(conj, 6, qvars)
     store = BddStore(3)
     assert store.and_exists([0], TRUE, TRUE) == TRUE
-    assert store.exists([0, 2], TRUE) == TRUE
-    assert store.exists([1], FALSE) == FALSE
+    assert exists(store, [0, 2], TRUE) == TRUE
+    assert exists(store, [1], FALSE) == FALSE
 
 
 def _ternary_expected(tables, qvars):
@@ -263,12 +264,12 @@ def test_ternary_and_exists_matches_enumeration():
         store, f, f_table = random_function(rng, 10, density=rng.choice((0.3, 0.5, 0.8)),
                                             complemented=i % 2 == 1)
         g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
-        g = store.from_truth_table(g_table)
+        g = from_truth_table(store, g_table)
         qvars = rng.sample(range(10), rng.randint(1, 6))
         c_table = [rng.random() < rng.choice((0.3, 0.7)) for _ in range(1 << 10)]
         if i % 4 >= 2:
             c_table = [not v for v in _projected([not v for v in c_table], 10, qvars)]
-        c = store.from_truth_table(c_table)
+        c = from_truth_table(store, c_table)
         assert (store.support_levels(c) & set(qvars) == set()) == (i % 4 >= 2)
         for c_edge, table in ((c, c_table), (-c, [not v for v in c_table])):
             r = store.and_exists(qvars, f, g, c_edge)
@@ -283,7 +284,7 @@ def test_ternary_and_exists_terminal_cases_match_enumeration():
     for i in range(10):
         store, f, f_table = random_function(rng, 10, complemented=i % 2 == 1)
         g_table = [rng.random() < 0.5 for _ in range(1 << 10)]
-        g = store.from_truth_table(g_table)
+        g = from_truth_table(store, g_table)
         not_f = [not v for v in f_table]
         not_g = [not v for v in g_table]
         cares = ((TRUE, [True] * 1024), (FALSE, [False] * 1024), (f, f_table),
@@ -336,7 +337,7 @@ def test_mapped_and_exists_matches_enumeration():
         if i % 2:
             c_table = [True] * (1 << n)
         store = BddStore(n)
-        f, g, c = (store.from_truth_table(t) for t in (f_table, g_table, c_table))
+        f, g, c = (from_truth_table(store, t) for t in (f_table, g_table, c_table))
         # one store, so a cache line shared by two of these products would show
         for rd, wr in ((read, write), (read, {}), ({}, write), ({}, {})):
             conj = [a and b and d for a, b, d in
@@ -355,7 +356,7 @@ def test_mapped_and_exists_reads_f_and_g_apart():
         store, f, f_table = random_function(rng, n, complemented=i % 2 == 1)
         read = {lvl: lvl + 1 for lvl in (0, 4)}
         g_table = _projected(f_table, n, read.values())
-        g = store.from_truth_table(g_table)
+        g = from_truth_table(store, g_table)
         levels = rng.sample(range(n), rng.randint(0, 3))
         for sign in (1, -1):
             read_g = _read_through([v == (sign == 1) for v in g_table], n, read)
@@ -451,8 +452,8 @@ def test_canonicity_exhaustive_three_vars():
     store = BddStore(3)
     edges = {}
     for bits in itertools.product((0, 1), repeat=8):
-        e = store.from_truth_table(bits)
-        assert store.from_truth_table(bits) == e
+        e = from_truth_table(store, bits)
+        assert from_truth_table(store, bits) == e
         edges[bits] = e
     assert len(set(edges.values())) == 256
     for bits, e in edges.items():
@@ -467,7 +468,7 @@ def test_canonicity_sampled_four_vars():
     seen = {}
     for _ in range(500):
         bits = tuple(rng.random() < 0.5 for _ in range(16))
-        e = store.from_truth_table(bits)
+        e = from_truth_table(store, bits)
         if bits in seen:
             assert seen[bits] == e
         seen[bits] = e
@@ -479,9 +480,9 @@ def test_canonicity_sampled_four_vars():
 def test_no_stored_complemented_then_edges():
     rng = random.Random(9)
     store, f, _ = random_function(rng, 8)
-    g = store.from_truth_table([rng.random() < 0.5 for _ in range(256)])
+    g = from_truth_table(store, [rng.random() < 0.5 for _ in range(256)])
     store.apply("xor", f, g)
-    store.exists([0, 3], f)
+    exists(store, [0, 3], f)
     store.check()  # covers reduction, merging, and complement normalization
 
 
@@ -518,7 +519,7 @@ def test_size_and_descendants_match_a_recursive_count():
         n = rng.choice((3, 5, 7, 9))
         store, f, _ = random_function(rng, n, rng.choice((0.2, 0.5, 0.8)),
                                       complemented=trial % 2 == 1)
-        g = store.from_truth_table([rng.random() < 0.5 for _ in range(1 << n)])
+        g = from_truth_table(store, [rng.random() < 0.5 for _ in range(1 << n)])
         h = store.apply("xor", f, g)
         for e in (f, -f, g, -g, h, -h, TRUE, FALSE):
             expected = _reachable_slots(store, e, set())
@@ -539,7 +540,7 @@ def test_from_truth_table_leaves_no_reference_cycle():
     gc.disable()
     try:
         store = BddStore(4)
-        store.from_truth_table([i % 3 == 0 for i in range(16)])
+        from_truth_table(store, [i % 3 == 0 for i in range(16)])
         ref = weakref.ref(store)
         del store
         assert ref() is None
@@ -557,7 +558,7 @@ def test_cube():
 def test_from_truth_table_size_check():
     store = BddStore(2)
     with pytest.raises(ValueError):
-        store.from_truth_table([0, 1])
+        from_truth_table(store, [0, 1])
 
 
 def test_clear_caches_keeps_results():
@@ -584,7 +585,7 @@ def test_compact_keeps_roots_and_every_older_slot(seed, where, monkeypatch):
     for i in range(8):
         if i == 4 and where == "middle":
             since = store.node_count()
-        f = store.from_truth_table(random_table(rng, n, rng.choice((0.2, 0.5, 0.8))))
+        f = from_truth_table(store, random_table(rng, n, rng.choice((0.2, 0.5, 0.8))))
         if edges:
             # ite leaves dead intermediates and cache entries behind
             f = store.apply(rng.choice(("and", "or", "xor")), f, rng.choice(edges))
@@ -612,7 +613,7 @@ def test_compact_keeps_roots_and_every_older_slot(seed, where, monkeypatch):
     # the unique table finds every survivor again: a rebuild makes no node
     nodes = store.node_count()
     for e, table in zip(remapped, tables):
-        assert store.from_truth_table(table) == e
+        assert from_truth_table(store, table) == e
     assert store.node_count() == nodes
 
 

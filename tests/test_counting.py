@@ -7,7 +7,7 @@ import pytest
 from lexbdd import BddStore, precompute_counts, rank, unrank
 from lexbdd.bdd import FALSE, TRUE
 
-from helpers import corpus, enum_count, random_function
+from helpers import corpus, enum_count, from_truth_table, random_function
 
 
 def test_constant_true_counts_the_whole_cube():
@@ -56,7 +56,7 @@ def test_dual_entries_stored_per_sign():
     # below the root of x0 xor g, the node of g is reached on both signs
     rng = random.Random(77)
     store = BddStore(7)
-    g = store.from_truth_table([rng.random() < 0.4 for _ in range(1 << 7)])
+    g = from_truth_table(store, [rng.random() < 0.4 for _ in range(1 << 7)])
     f = store.apply("xor", store.var(0), g)
     table = precompute_counts(store, f)
     duals = [e for e in table.counts if e > 1 and -e in table.counts]

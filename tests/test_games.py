@@ -216,8 +216,13 @@ player 1 action swap: pre = 1; eff = a := b, b := a
 reward 1 1: 1
 """
     ended = compile_game(parse_game(actions + "terminal: a\n"))
-    endless = compile_game(parse_game(actions + "terminal: 0\n"), store=ended.store)
-    assert [r.edge for r in ended.relations] == [r.edge for r in endless.relations]
+    endless = compile_game(parse_game(actions + "terminal: 0\n"))
+
+    def truth_tables(ts):
+        points = list(itertools.product((0, 1), repeat=ts.store.n))
+        return [[ts.store.evaluate(r.edge, p) for p in points] for r in ts.relations]
+
+    assert truth_tables(ended) == truth_tables(endless)
     assert ended.sink == ended.store.var(ended.current[0])
     assert endless.sink == FALSE
 
@@ -235,12 +240,6 @@ def test_tictactoe_compile_shape():
     assert sum(1 for r in ts.relations if r.player == 1) == 9
     first_moves = image(ts, initial_edge(ts, spec))
     assert precompute_counts(ts.store, first_moves, ts.current).root_count == 9
-
-
-def test_compile_rejects_mismatched_store():
-    spec = load_game(bundled_game_path("duel"))
-    with pytest.raises(ValueError):
-        compile_game(spec, store=BddStore(3))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from lexbdd import BddStore, disj_var, fold_states_lex, precompute_counts, split
     split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
 
-from helpers import all_assignments, check_lex_partition, corpus, \
+from helpers import all_assignments, check_lex_partition, corpus, from_truth_table, \
     random_function, satisfying
 
 
@@ -78,7 +78,7 @@ def test_split_outputs_are_canonical():
         cut = tuple(rng.randint(0, 1) for _ in range(n))
         pair = split(store, f, cut)
         for part in (pair.left, pair.right):
-            rebuilt = store.from_truth_table(
+            rebuilt = from_truth_table(store,
                 [store.evaluate(part, bits) for bits in all_assignments(n)])
             assert rebuilt == part
 
@@ -163,7 +163,7 @@ def test_fold_exact_thousand_into_eight():
     table_bits = [True] * 1000 + [False] * 24
     rng.shuffle(table_bits)
     store = BddStore(10)
-    f = store.from_truth_table(table_bits)
+    f = from_truth_table(store, table_bits)
     table = precompute_counts(store, f)
     assert table.root_count == 1000
     part = fold_states_lex(table, 8)
@@ -224,7 +224,7 @@ def test_states_bounded_ceiling_arithmetic():
     bits = [True] * 10 + [False] * 54
     rng.shuffle(bits)
     store = BddStore(6)
-    f = store.from_truth_table(bits)
+    f = from_truth_table(store, bits)
     table = precompute_counts(store, f)
     part = states_lex_bounded(table, 3)
     assert [precompute_counts(store, p).root_count for p in part.parts] == [3, 3, 3, 1]

@@ -9,7 +9,7 @@ from lexbdd import BddStore, NotAMemberError, member_rank_or_none, precompute_co
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.ranking import _rank_walk, _unrank_walk, bits_to_int, int_to_bits
 
-from helpers import all_assignments, corpus, satisfying
+from helpers import all_assignments, corpus, from_truth_table, satisfying
 
 
 def test_bit_conversions_roundtrip():
@@ -93,7 +93,7 @@ def test_complement_robustness():
     for _ in range(10):
         n = rng.randint(4, 9)
         store = BddStore(n)
-        g = store.from_truth_table([rng.random() < 0.5 for _ in range(1 << n)])
+        g = from_truth_table(store, [rng.random() < 0.5 for _ in range(1 << n)])
         f = -g  # reached only through a complement mark
         table = precompute_counts(store, f)
         sats = satisfying(store, f, n)

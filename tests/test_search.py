@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import lexbdd.search
 from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage, \
     precompute_counts
 from lexbdd.bdd import FALSE, TRUE
@@ -234,6 +235,32 @@ def test_node_budget_exhaustion(counter):
     spec, ts = counter
     seq = layered_bfs(ts, initial_edge(ts, spec), limits=SearchLimits(max_nodes=1))
     assert not seq.complete
+
+
+def test_forward_search_counts_each_layer_once(monkeypatch):
+    # tictactoe's store more than doubles inside the search, so the layers
+    # are compacted between steps; a compaction must not cost a recount
+    spec = load_game(bundled_game_path("tictactoe"))
+    ts = compile_game(spec)
+    counted, compactions = [], []
+    count, compact = lexbdd.search.precompute_counts, BddStore.compact
+
+    def counting(store, f, levels):
+        counted.append(f)
+        return count(store, f, levels)
+
+    def compacting(store, since, roots):
+        compactions.append(since)
+        return compact(store, since, roots)
+
+    monkeypatch.setattr(lexbdd.search, "precompute_counts", counting)
+    monkeypatch.setattr(BddStore, "compact", compacting)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    assert layers.complete
+    assert compactions
+    assert len(counted) == len(layers.layers)
+    assert [row.states for row in layers.stats] == \
+        [len(states) for states in ExplicitGame(spec).bfs_layers()]
 
 
 def test_empty_init_rejected(counter):

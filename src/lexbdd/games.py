@@ -12,8 +12,11 @@ A game file is line oriented UTF-8 text.  Sections:
 Formulas range over the declared variables with negation (``!`` or
 ``¬``), conjunction (``&`` or ``∧``), disjunction (``|`` or ``∨``),
 implication (``->`` or ``→``), parentheses and the constants ``0`` and
-``1``.  Blank lines and ``#`` comments are ignored.  The ``eff`` list
-may be empty or absent; unassigned variables keep their value.
+``1``.  ``!`` binds tightest, then ``&``, ``|`` and ``->``, which
+groups to the right.  A chain of one operator, however long, parses to
+one node (see :func:`parse_formula`).  Blank lines and ``#`` comments
+are ignored.  The ``eff`` list may be empty or absent; unassigned
+variables keep their value.
 
 Compilation produces one transition relation per action over an
 interleaved current/next variable order, without frame axioms for the
@@ -27,6 +30,7 @@ already-classified successors it can reach.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from dataclasses import dataclass
@@ -72,10 +76,14 @@ def _tokenize(text: str, line_no: int) -> list[str]:
 
 
 def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
-    """Parse a formula into nested tuples.
+    """Parse a formula into nested tuples, one node per operator chain.
 
     Nodes are ``('const', bool)``, ``('var', name)``, ``('not', f)``,
-    ``('and', f, g)``, ``('or', f, g)`` and ``('imp', f, g)``.
+    ``('and', f1, ..., fk)``, ``('or', f1, ..., fk)`` and
+    ``('imp', f1, ..., fk)``, which reads ``f1 -> (f2 -> ... fk)``, each
+    with ``k >= 2``.  A run of ``!`` keeps only its parity.  Only
+    parentheses nest nodes, so the tree is as deep as the text's
+    parentheses.
     """
     tokens = _tokenize(text, line_no)
     known = set(variables)
@@ -94,9 +102,9 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
 
     def atom():
         tok = take()
-        negations = 0
+        negated = False
         while tok in _NOT:
-            negations += 1
+            negated = not negated
             tok = take()
         if tok == "(":
             f = implication()
@@ -109,33 +117,30 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
             f = ("var", tok)
         else:
             raise GameSpecError(f"line {line_no}: unknown variable {tok!r}")
-        for _ in range(negations):
-            f = ("not", f)
-        return f
+        return ("not", f) if negated else f
 
+    # one loop per precedence level, written out: a shared helper would add
+    # frames per parenthesis level and lower the nesting depth that parses
     def conjunction():
-        f = atom()
+        operands = [atom()]
         while peek() in _AND:
             take()
-            f = ("and", f, atom())
-        return f
+            operands.append(atom())
+        return operands[0] if len(operands) == 1 else ("and", *operands)
 
     def disjunction():
-        f = conjunction()
+        operands = [conjunction()]
         while peek() in _OR:
             take()
-            f = ("or", f, conjunction())
-        return f
+            operands.append(conjunction())
+        return operands[0] if len(operands) == 1 else ("or", *operands)
 
     def implication():
         operands = [disjunction()]
         while peek() in _IMP:
             take()
             operands.append(disjunction())
-        f = operands.pop()
-        while operands:
-            f = ("imp", operands.pop(), f)
-        return f
+        return operands[0] if len(operands) == 1 else ("imp", *operands)
 
     try:
         result = implication()
@@ -186,13 +191,16 @@ def parse_game(text: str, name: str = "game") -> GameSpec:
     actions: list[GameAction] = []
     terminal = None
     rewards: dict[int, list] = {}
-    spec_name = name
+    spec_name, named = name, False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("name:"):
+            if named:
+                raise GameSpecError(f"line {line_no}: name declared twice")
+            named = True
             spec_name = line[len("name:"):].strip()
             if not spec_name:
                 raise GameSpecError(f"line {line_no}: empty name")
@@ -301,38 +309,27 @@ def bundled_game_names() -> tuple[str, ...]:
 # compilation to a transition system
 
 def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
-    """Compile a parsed formula to a BDD, reading variable ``v`` at ``levels[v]``."""
+    """Compile a parsed formula to a BDD, reading variable ``v`` at ``levels[v]``.
+
+    ``and`` and ``or`` fold left to right, ``imp`` from the right.
+    """
     op = formula[0]
     if op == "const":
         return TRUE if formula[1] else FALSE
     if op == "var":
         return store.var(levels[formula[1]])
-    # the parser nests a run of negations, and an implication chain to the
-    # right, one level per operand; walk down each in a loop
     if op == "not":
-        sign = 1
-        while formula[0] == "not":
-            sign = -sign
-            formula = formula[1]
-        return sign * _compile_formula(store, levels, formula)
+        return -_compile_formula(store, levels, formula[1])
     if op == "imp":
-        premises = []
-        while formula[0] == "imp":
-            premises.append(_compile_formula(store, levels, formula[1]))
-            formula = formula[2]
-        result = _compile_formula(store, levels, formula)
+        premises = [_compile_formula(store, levels, f) for f in formula[1:-1]]
+        result = _compile_formula(store, levels, formula[-1])
         for a in reversed(premises):
             result = store.apply("or", -a, result)
         return result
     if op not in ("and", "or"):
         raise ValueError(f"bad formula node {formula!r}")
-    # and an ``&`` or ``|`` chain to the left; apply its operands left to right
-    operands = []
-    while formula[0] == op:
-        operands.append(formula[2])
-        formula = formula[1]
-    result = _compile_formula(store, levels, formula)
-    for operand in reversed(operands):
+    result = _compile_formula(store, levels, formula[1])
+    for operand in formula[2:]:
         result = store.apply(op, result, _compile_formula(store, levels, operand))
     return result
 
@@ -429,33 +426,24 @@ class SolutionTable:
 
 
 def _reward_classes(ts: TransitionSystem, spec: GameSpec):
-    """Cross product of the per-player reward formulas as BDD classes."""
-    per_player = []
-    for p in range(1, spec.players + 1):
-        per_player.append([(value, formula_edge(ts, spec, formula))
-                           for value, formula in spec.rewards[p]])
+    """Cross product of the per-player reward formulas: value tuples and their conjunctions."""
+    per_player = [[(value, formula_edge(ts, spec, formula)) for value, formula in spec.rewards[p]]
+                  for p in range(1, spec.players + 1)]
     keys: list[tuple[int, ...]] = []
     edges: dict[tuple[int, ...], int] = {}
-    if spec.players == 1:
-        for value, edge in per_player[0]:
-            keys.append((value,))
-            edges[(value,)] = edge
-    else:
-        for v1, e1 in per_player[0]:
-            for v2, e2 in per_player[1]:
-                key = (v1, v2)
-                keys.append(key)
-                edges[key] = ts.store.apply("and", e1, e2)
+    for members in itertools.product(*per_player):
+        key = tuple(value for value, _ in members)
+        edge = TRUE
+        for _, member in members:
+            edge = ts.store.apply("and", edge, member)
+        keys.append(key)
+        edges[key] = edge
     return tuple(keys), edges
 
 
 def _preference_order(keys, player: int):
-    """Best class first: own reward descending, then the opponent's."""
-    own = player - 1
-    if len(keys[0]) == 1:
-        return sorted(keys, key=lambda k: -k[0])
-    other = 1 - own
-    return sorted(keys, key=lambda k: (-k[own], -k[other]))
+    """Best class first: own reward descending, then every reward in player order."""
+    return sorted(keys, key=lambda k: (-k[player - 1], *(-v for v in k)))
 
 
 def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,

@@ -110,7 +110,8 @@ def split_at_count(table: CountTable, m: int) -> SplitPair:
     if not 1 <= m <= table.root_count:
         raise ValueError(f"count {m} out of range 1..{table.root_count}")
     cut = unrank(table, m - 1)
-    return split(table.store, table.root, cut, table.levels)
+    # precompute_counts checked the root's support, see _partition_at_positions
+    return _split_walk(table.store, table.root, cut, table.levels)
 
 
 def _partition_at_positions(table: CountTable, positions: Sequence[int]) -> LexPartition:
@@ -143,14 +144,12 @@ def fold_states_lex(table: CountTable, k: int) -> LexPartition:
     Fold ``i`` ends at the member in position ``ceil(i * count / k)``,
     so fold sizes differ by at most one.  When the set has fewer than
     ``k`` members, ``k`` drops to the member count and every fold holds
-    one member.
+    one member; the empty set is one empty fold.
     """
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
     c = table.root_count
-    if c == 0:
-        return LexPartition(cuts=((1,) * table.n,), parts=(table.root,))
-    k = min(k, c)  # with k <= c the positions strictly increase
+    k = max(1, min(k, c))  # with k <= c the positions strictly increase
     return _partition_at_positions(table, [-(-i * c // k) for i in range(1, k + 1)])
 
 
@@ -163,8 +162,6 @@ def states_lex_bounded(table: CountTable, bound: int) -> LexPartition:
     if bound < 1:
         raise ValueError(f"state bound must be >= 1, got {bound}")
     c = table.root_count
-    if c == 0:
-        return LexPartition(cuts=((1,) * table.n,), parts=(table.root,))
     positions = list(range(bound, c, bound))
     positions.append(c)
     return _partition_at_positions(table, positions)

@@ -98,7 +98,12 @@ class PartitionStrategy:
         kind, sep, param = text.partition(":")
         if not sep:
             return cls(kind)
-        return cls(kind, int(param))
+        try:
+            value = int(param)
+        except ValueError:
+            raise ValueError(
+                f"strategy {kind} needs an integer parameter, got {param!r}") from None
+        return cls(kind, value)
 
     def __str__(self) -> str:
         if self.param is None:

@@ -20,11 +20,15 @@ def eval_formula(formula, state) -> bool:
     if op == "not":
         return not eval_formula(formula[1], state)
     if op == "and":
-        return eval_formula(formula[1], state) and eval_formula(formula[2], state)
+        return all(eval_formula(f, state) for f in formula[1:])
     if op == "or":
-        return eval_formula(formula[1], state) or eval_formula(formula[2], state)
+        return any(eval_formula(f, state) for f in formula[1:])
     if op == "imp":
-        return (not eval_formula(formula[1], state)) or eval_formula(formula[2], state)
+        # f1 -> (f2 -> ... fk), folded from the right
+        result = eval_formula(formula[-1], state)
+        for premise in reversed(formula[1:-1]):
+            result = (not eval_formula(premise, state)) or result
+        return result
     raise ValueError(f"bad formula node {formula!r}")
 
 

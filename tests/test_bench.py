@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from lexbdd import RunConfig, RunReport, bundled_game_path, compare, read_csv, run, \
-    write_csv
+from lexbdd import RunConfig, RunReport, bundled_game_path, compare, load_game, read_csv, \
+    run, write_csv
 from lexbdd.bench import CSV_COLUMNS, format_compare
 from lexbdd.cli import main
 from lexbdd.search import PartitionStrategy
+
+from explicit import ExplicitGame
 
 
 def _run(name, strategy="none", **kw):
@@ -229,6 +231,19 @@ def test_cli_malformed_spec_is_a_one_line_error(tmp_path, capsys, terminal, acti
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("header, partition, message", [
+    ("", "fold-states-lex:1e3",
+     "error: strategy fold-states-lex needs an integer parameter, got '1e3'\n"),
+    # counter3 declares its name on its second line
+    ("name: a\n", "none", "error: line 3: name declared twice\n"),
+])
+def test_cli_input_error_names_what_was_wrong(tmp_path, capsys, header, partition, message):
+    game = tmp_path / "counter3.game"
+    game.write_text(header + bundled_game_path("counter3").read_text(encoding="utf-8"))
+    assert main(["solve", str(game), "--partition", partition]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_cli_deep_variable_order_is_a_one_line_error(tmp_path, capsys):
     # a 600-variable shift chain: 1200 levels, deeper than the recursion limit
     n = 600
@@ -248,8 +263,8 @@ def test_cli_deep_variable_order_is_a_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-# a terminal of 5,000 operands or negations, which the parser nests 5,000
-# deep, the short terminal it equals, and the initial value of both
+# a terminal of 5,000 operands or negations, which parses to a single
+# node, the short terminal it equals, and the initial value of both
 LONG_CHAINS = {
     "&": (" & ".join(["a"] * 4999 + ["b"]), "a & b", 100),
     "|": (" | ".join(["a"] * 4999 + ["b"]), "a | b", 100),
@@ -258,21 +273,36 @@ LONG_CHAINS = {
 }
 
 
+def _chain_game(tmp_path, terminal):
+    game = tmp_path / "chain.game"
+    game.write_text("\n".join([
+        "vars: a, b",
+        "player 1 action seta: pre = !a; eff = a := 1",
+        "player 1 action setb: pre = a & !b; eff = b := 1",
+        f"terminal: {terminal}",
+        "reward 1 100: a",
+        "reward 1 0: !a",
+    ]) + "\n")
+    return game
+
+
 @pytest.mark.parametrize("op", list(LONG_CHAINS))
 def test_cli_long_operator_chain_solves(tmp_path, capsys, op):
     *terminals, value = LONG_CHAINS[op]
     outputs = []
     for terminal in terminals:
-        game = tmp_path / "chain.game"
-        game.write_text("\n".join([
-            "vars: a, b",
-            "player 1 action seta: pre = !a; eff = a := 1",
-            "player 1 action setb: pre = a & !b; eff = b := 1",
-            f"terminal: {terminal}",
-            "reward 1 100: a",
-            "reward 1 0: !a",
-        ]) + "\n")
-        assert main(["solve", str(game)]) == 0
+        assert main(["solve", str(_chain_game(tmp_path, terminal))]) == 0
         outputs.append(capsys.readouterr().out)
     assert f"initial_value={value}" in outputs[1]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("op", list(LONG_CHAINS))
+def test_long_operator_chain_matches_the_explicit_oracle(tmp_path, op):
+    terminal, _, value = LONG_CHAINS[op]
+    game = _chain_game(tmp_path, terminal)
+    report = run(RunConfig(game_path=str(game), strategy=PartitionStrategy("none")))
+    oracle = ExplicitGame(load_game(game))
+    assert [r.states for r in report.rows if r.direction == "forward"] == \
+        [len(layer) for layer in oracle.bfs_layers()]
+    assert report.initial_value == oracle.value(oracle.initial()) == (value,)

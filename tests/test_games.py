@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import re
+import threading
 import weakref
 
 import pytest
@@ -43,6 +44,35 @@ def test_parse_formula_operators():
     unicode_f = parse_formula("¬a ∧ (b ∨ c) → a", ("a", "b", "c"))
     for env in ({"a": x, "b": y, "c": z} for x in (0, 1) for y in (0, 1) for z in (0, 1)):
         assert eval_formula(f, env) == eval_formula(unicode_f, env)
+
+
+def test_parse_formula_builds_one_node_per_chain():
+    a, b, c = ("var", "a"), ("var", "b"), ("var", "c")
+    shapes = {
+        "a & b & c": ("and", a, b, c),
+        "a | b | c": ("or", a, b, c),
+        "a -> b -> c": ("imp", a, b, c),
+        "!!a": a,
+        "!!!a": ("not", a),
+        "!(!a)": ("not", ("not", a)),
+        "(a & b) & c": ("and", ("and", a, b), c),
+        "a | b & c -> !a": ("imp", ("or", a, ("and", b, c)), ("not", a)),
+    }
+    for text, shape in shapes.items():
+        assert parse_formula(text, ("a", "b", "c")) == shape, text
+
+
+def test_formula_in_240_parentheses_parses():
+    # on a fresh thread, so that the test runner's own frames do not count
+    # against the default recursion limit
+    depth = 240
+    parsed = []
+    thread = threading.Thread(
+        target=lambda: parsed.append(parse_formula("(" * depth + "a" + ")" * depth, ("a",))))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert parsed == [("var", "a")]
 
 
 def test_parse_formula_constants_and_precedence():
@@ -89,6 +119,9 @@ def test_parse_formula_constants_and_precedence():
     # a second terminal line does not silently replace the first
     ("vars: a\ninit:\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\nterminal: 0\n"
      "reward 1 5: 1", "line 5: terminal condition declared twice"),
+    # nor a second name line
+    ("name: a\nvars: a\nname: b\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 3: name declared twice"),
 ])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(GameSpecError) as err:

@@ -8,6 +8,7 @@ import pytest
 from lexbdd import BddStore, disj_var, fold_states_lex, precompute_counts, split, \
     split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
+from lexbdd.partition import LexPartition
 
 from helpers import all_assignments, check_lex_partition, corpus, from_truth_table, \
     random_function, satisfying
@@ -131,6 +132,19 @@ def test_split_at_count_boundaries():
         split_at_count(table, c + 1)
 
 
+def test_split_at_count_walks_only_the_cut_path(monkeypatch):
+    # the count table already checked the support, so no whole-diagram walk
+    rng = random.Random(34)
+    store, f, _ = random_function(rng, 10)
+    table = precompute_counts(store, f)
+    walks = []
+    descendants = BddStore.descendants
+    monkeypatch.setattr(BddStore, "descendants",
+                        lambda self, *roots: walks.append(roots) or descendants(self, *roots))
+    split_at_count(table, table.root_count // 2)
+    assert walks == []
+
+
 def test_split_at_count_exact_and_half():
     for store, f, n in corpus(seed=808, count=25, sizes=range(4, 10)):
         table = precompute_counts(store, f)
@@ -182,7 +196,8 @@ def test_fold_on_empty_set():
     store = BddStore(4)
     table = precompute_counts(store, FALSE)
     part = fold_states_lex(table, 4)
-    assert part.parts == (FALSE,)
+    assert part == LexPartition(cuts=((1,) * 4,), parts=(FALSE,))
+    assert states_lex_bounded(table, 3) == part
     with pytest.raises(ValueError):
         fold_states_lex(table, 0)
 

@@ -456,7 +456,8 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     belong to the player who can move in them and are classified in that
     player's preference order: each class receives the still-unassigned
     states that can reach an already-classified successor of that class.
-    Each such preimage is taken with the player's still-unassigned
+    Each such preimage is taken through the player's move relation (see
+    :class:`~lexbdd.search.Move`), with the player's still-unassigned
     states of the layer as the care set of the relational product, so
     it never leaves them (nor meets the sink set) and needs no AND with
     them afterwards; a player's class loop stops once every state is
@@ -478,16 +479,13 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     steps = _LayerSteps(store, limits)
     class_keys, class_edges = _reward_classes(ts, spec)
     can_move = {}
-    by_player: dict[int, tuple[Relation, ...]] = {}
     for p in range(1, spec.players + 1):
-        rels = tuple(r for r in ts.relations if r.player == p)
-        by_player[p] = rels
         pres = FALSE
         for action in spec.actions:
             if action.player == p:
                 pres = store.apply("or", pres, formula_edge(ts, spec, action.precondition))
         can_move[p] = pres
-    prefs = {p: _preference_order(class_keys, p) for p in by_player}
+    prefs = {p: _preference_order(class_keys, p) for p in can_move}
 
     last = len(layers.layers) - 1
     layer_classes: list[dict] = [dict() for _ in layers.layers]
@@ -521,7 +519,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                     f"layer {d}: non-terminal states in the final layer "
                     "(state space is not layer-acyclic)")
             movers = FALSE
-            for p, rels in by_player.items():
+            for p in prefs:
                 mine = store.apply("and", rest, can_move[p])
                 if mine == FALSE:
                     continue
@@ -538,7 +536,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                         continue
                     # restricted to mine inside the product, so pred <= mine
                     pred, sub_peak = _subimages(ts, succ, strategy, forward=False,
-                                                relations=rels, care=mine)
+                                                moves=(ts.moves[p],), care=mine)
                     peak = max(peak, sub_peak)
                     if pred != FALSE:
                         classes[key] = store.apply("or", classes[key], pred)

@@ -1,19 +1,23 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
-The transition relation is kept as one BDD per action and never built
+The transition relation is given as one BDD per action and never built
 monolithically.  Variable ``i`` sits at level ``2i`` and its next copy
-at ``2i + 1``.  A relation holds no frame axioms: it writes exactly the
-variables whose next copy it mentions, and every other variable keeps
-its value implicitly.  States without successors are
+at ``2i + 1``.  An action's relation holds no frame axioms: it writes
+exactly the variables whose next copy it mentions, and every other
+variable keeps its value implicitly.  The actions of one player are
+joined, once, into that player's move relation: each action is framed
+only on the variables its fellow actions write, and the framed
+relations are ORed.  States without successors are
 kept out of the relations as a separate sink set: it is masked out of
 each forward source part, and a backward product excludes it through
 its care set, during the product rather than after it.  An image
-distributes over both the action relations and an optional partition
-of the source set, computes one relational product per (action, part)
-pair and ORs each subimage into the image as it is made.  Each product
-quantifies only the levels its action writes and moves the written
-variables between their current and next copies itself, so every
-subimage comes out over the current variables and nothing is renamed.
+distributes over both the players' move relations and an optional
+partition of the source set, computes one relational product per
+(part, player) pair and ORs each subimage into the image as it is made.
+Each product quantifies only the levels its player's actions write and
+moves those variables between their current and next copies itself, so
+every subimage comes out over the current variables and nothing is
+renamed.
 The breadth-first search stores each depth layer as its own BDD and
 subtracts everything seen before, so layers are disjoint and layer
 index equals BFS depth.  What happens between two layer steps, of the
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bdd import FALSE, TRUE, BddStore
 from .counting import CountTable, precompute_counts
@@ -39,11 +44,28 @@ class Relation:
     ``edge`` has no frame axioms: the action writes exactly the
     variables whose next copy it mentions, and every other variable
     keeps its value.  So no relation can leave a variable arbitrary:
-    an edge that does not depend on ``w'`` keeps ``w``.
+    an edge that does not depend on ``w'`` keeps ``w``.  The relations
+    of one ``player`` (``None`` is a player too) are searched together,
+    as that player's :class:`Move`.
     """
     name: str
     edge: int
     player: int | None = None
+
+
+class Move(NamedTuple):  # not a dataclass: building one at import costs 7x as much
+    """One player's move relation: the OR of its actions, each framed on its fellows' writes.
+
+    ``written`` holds the current levels that some action of the player
+    writes.  Each action's edge is conjoined with ``w' <-> w`` for every
+    level ``w`` in ``written`` that the action leaves alone, so ``edge``
+    keeps every variable outside ``written`` implicitly, as a
+    :class:`Relation` does.  ``written`` is kept beside the edge because
+    the edge's support does not tell it: ``low ∨ high`` may no longer
+    mention ``m'`` although both actions write ``m``.
+    """
+    edge: int
+    written: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -54,8 +76,12 @@ class TransitionSystem:
     at ``2i + 1`` (``nxt``), so the store holds an even number of
     levels.  ``written`` maps each relation to the current levels of the
     variables it writes, derived once from the next levels its edge
-    mentions.  ``sink`` holds the current states that have no successors
-    whatever the relations say; ``image`` and ``preimage`` mask it out.
+    mentions.  ``moves`` maps each player, in the order of its first
+    relation, to its :class:`Move`, built once here, before any search
+    can compact the store; each frame axiom is conjoined deepest level
+    first, which leaves fewer dead nodes behind.  ``sink`` holds the
+    current states that have no successors whatever the relations say;
+    ``image`` and ``preimage`` mask it out.
     """
     store: BddStore
     relations: tuple[Relation, ...]
@@ -63,6 +89,7 @@ class TransitionSystem:
     current: tuple[int, ...] = field(init=False)
     nxt: tuple[int, ...] = field(init=False)
     written: dict[Relation, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    moves: dict[int | None, Move] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.store.n
@@ -73,9 +100,24 @@ class TransitionSystem:
             raise ValueError(f"sink set mentions next levels {stray}")
         object.__setattr__(self, "current", tuple(range(0, n, 2)))
         object.__setattr__(self, "nxt", tuple(range(1, n, 2)))
-        object.__setattr__(self, "written", {
-            rel: tuple(sorted(lvl - 1 for lvl in self.store.support_levels(rel.edge) if lvl % 2))
-            for rel in self.relations})
+        store = self.store
+        written = {rel: tuple(sorted(lvl - 1 for lvl in store.support_levels(rel.edge) if lvl % 2))
+                   for rel in self.relations}
+        moves = {}
+        for player in dict.fromkeys(rel.player for rel in self.relations):
+            rels = [rel for rel in self.relations if rel.player == player]
+            union = sorted(set().union(*(written[rel] for rel in rels)))
+            edge = FALSE
+            for rel in rels:
+                framed = rel.edge
+                for w in reversed(union):
+                    if w not in written[rel]:
+                        frame = store.ite(store.var(w + 1), store.var(w), -store.var(w))
+                        framed = store.apply("and", framed, frame)
+                edge = store.apply("or", edge, framed)
+            moves[player] = Move(edge, tuple(union))
+        object.__setattr__(self, "written", written)
+        object.__setattr__(self, "moves", moves)
 
 
 @dataclass(frozen=True)
@@ -98,6 +140,8 @@ class PartitionStrategy:
         kind, sep, param = text.partition(":")
         if not sep:
             return cls(kind)
+        if kind not in ("fold-states-lex", "states-lex"):
+            return cls(kind, param)  # rejected for its kind, whatever the parameter
         try:
             value = int(param)
         except ValueError:
@@ -203,8 +247,9 @@ class LayerStat:
     """Per-layer measurements of one search direction.
 
     ``max_image_nodes`` is the largest diagram, in nodes, among the
-    layer's subimages and the images they merge into; it does not
-    depend on the order of the actions or of the merge.
+    layer's subimages, one per (part, player), and the images they
+    merge into; it does not depend on the order of the actions, the
+    players or the merge.
     ``total_nodes`` is the store's node count at the end of the step,
     after any compaction at its start.
     """
@@ -226,28 +271,30 @@ class LayerSequence:
 
 
 def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStrategy,
-               forward: bool, relations: tuple[Relation, ...] | None = None,
+               forward: bool, moves: tuple[Move, ...] | None = None,
                care: int | None = None) -> tuple[int, int]:
-    """Partition ``s`` and OR its per-action, per-part relational products into one set.
+    """Partition ``s`` and OR its per-part, per-player relational products into one set.
 
     ``s`` (a state set or its :class:`CountTable`) is partitioned over
-    the current variables.  Forward masks the sink set out of each part,
-    quantifies the current levels the action writes and makes each
-    written next level at its current level.  Backward reads the part's
-    written current levels as next levels, quantifies those, and takes
-    the ternary product with ``care``, a set over the current variables
-    (default: every state outside the sink set; forward ignores it), so
-    each preimage is restricted to ``care`` as it is built and is never
-    taken over the whole state space.  An action that writes nothing is
-    a plain conjunction.  Every subimage comes out over the current
-    variables, the same function, and so of the same size, as a framed
-    product renamed back.  Returns the image and its peak: the largest
-    diagram among the subimages and the merged image, whatever the order
-    of the parts and the actions.
+    the current variables; ``moves`` defaults to every player's
+    :class:`Move`.  Forward masks the sink set out of each part,
+    quantifies the current levels the player's actions write and makes
+    each written next level at its current level.  Backward reads the
+    part's written current levels as next levels, quantifies those, and
+    takes the ternary product with ``care``, a set over the current
+    variables (default: every state outside the sink set; forward
+    ignores it), so each preimage is restricted to ``care`` as it is
+    built and is never taken over the whole state space.  A move that
+    writes nothing is a plain conjunction.  Every subimage comes out
+    over the current variables, the same function, and so of the same
+    size, as the player's framed product renamed back.  Returns the
+    image and its peak: the largest diagram among the (part, player)
+    subimages and the merged image, whatever the order of the parts and
+    the players.
     """
     store = ts.store
-    if relations is None:
-        relations = ts.relations
+    if moves is None:
+        moves = tuple(ts.moves.values())
     if forward:
         parts = [store.apply("and", part, -ts.sink)
                  for part in strategy.parts_of(store, s, ts.current)]
@@ -256,11 +303,11 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
         parts = strategy.parts_of(store, s, ts.current)
         if care is None:
             care = -ts.sink
-    products = []  # (edge, quantified levels, read map, write map) per action
-    for rel in relations:
-        shift = {w: w + 1 for w in ts.written[rel]}
-        back = {w + 1: w for w in ts.written[rel]}
-        products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
+    products = []  # (edge, quantified levels, read map, write map) per player
+    for move in moves:
+        shift = {w: w + 1 for w in move.written}
+        back = {w + 1: w for w in move.written}
+        products.append((move.edge, shift, None, back) if forward else (move.edge, back, shift, None))
     merged, peak = FALSE, 0
     for part in parts:
         if part == FALSE:

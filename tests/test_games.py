@@ -518,8 +518,11 @@ def _full_assignment(store, state, nxt):
 
 @pytest.mark.parametrize("name", bundled_game_names())
 def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
-    # one store through all four strategies: the edges made before a search,
-    # and those every earlier search and solve returned, keep their meaning
+    # one store through all four strategies and fold-states-lex:64 first,
+    # which makes enough nodes to compact inside a call on every game but
+    # counter3 and duel: the edges made before a search (the relations and
+    # the players' move relations among them), and those every earlier
+    # search and solve returned, keep their meaning
     spec = load_game(bundled_game_path(name))
     game = ExplicitGame(spec)
     explicit_layers = game.bfs_layers()
@@ -535,7 +538,7 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
         points.append(_full_assignment(store, state, [rng.randint(0, 1) for _ in state]))
     init = initial_edge(ts, spec)
     held = [init, formula_edge(ts, spec, spec.rewards[1][0][1]), ts.sink,
-            *(rel.edge for rel in ts.relations)]
+            *(rel.edge for rel in ts.relations), *(move.edge for move in ts.moves.values())]
 
     def truth_tables():
         return [[store.evaluate(e, p) for p in points] for e in held]
@@ -552,7 +555,7 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
 
     monkeypatch.setattr(BddStore, "compact", counted)
     solved = []
-    for text in STRATEGIES:
+    for text in ("fold-states-lex:64", *STRATEGIES):
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, init, strategy)
         sol = solve(ts, spec, layers, strategy)

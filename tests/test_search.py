@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -88,28 +89,36 @@ def _framed(ts, rel):
     return edge
 
 
-def _subimages_reference(ts, parts, forward):
-    """Reference image: framed relations, every piece over the current variables, folded with OR.
+def _framed_product(ts, edge, part, forward):
+    """The plain product of a framed ``edge`` with ``part``, renamed to the current variables."""
+    store = ts.store
+    if forward:
+        source = store.apply("and", part, -ts.sink)
+        sub = store.and_exists(set(ts.current), edge, source)
+        return store.rename(sub, dict(zip(ts.nxt, ts.current)))
+    source = store.rename(part, dict(zip(ts.current, ts.nxt)))
+    return store.apply("and", store.and_exists(set(ts.nxt), edge, source), -ts.sink)
 
-    Each relation gets its frame axioms back and is used with the plain
-    product over all current (forward) or next (backward) variables.
-    ``parts`` partition the set over the current variables, and each is
-    renamed on its own.  The peak is the largest diagram among the
-    pieces and the image.
+
+def _subimages_reference(ts, parts, forward):
+    """Reference image and peak from framed relations, every piece over the current variables.
+
+    The image ORs one plain product per (part, action), each action with
+    all its frame axioms back.  The peak is the largest diagram among the
+    image and the per-(part, player) pieces, each player's relation being
+    the OR of its actions' framed relations.  ``parts`` partition the set
+    over the current variables, and each is renamed on its own.
     """
     store = ts.store
-    quantified = set(ts.current) if forward else set(ts.nxt)
-    pieces = []
-    for part in parts:
-        source = store.apply("and", part, -ts.sink) if forward \
-            else store.rename(part, dict(zip(ts.current, ts.nxt)))
-        for rel in ts.relations:
-            sub = store.and_exists(quantified, _framed(ts, rel), source)
-            pieces.append(store.rename(sub, dict(zip(ts.nxt, ts.current))) if forward
-                          else store.apply("and", sub, -ts.sink))
+    framed = {rel: _framed(ts, rel) for rel in ts.relations}
     result = FALSE
-    for piece in pieces:
-        result = store.apply("or", result, piece)
+    for part in parts:
+        for edge in framed.values():
+            result = store.apply("or", result, _framed_product(ts, edge, part, forward))
+    clusters = {}
+    for rel, edge in framed.items():
+        clusters[rel.player] = store.apply("or", clusters.get(rel.player, FALSE), edge)
+    pieces = [_framed_product(ts, edge, part, forward) for part in parts for edge in clusters.values()]
     return result, max(len(store.descendants(e)) for e in (*pieces, result))
 
 
@@ -344,6 +353,22 @@ terminal: t1 & t0
 reward 1 100: a & !c
 reward 1 30: !(a & !c)
 """,
+    # both of player 1's actions write a, one to 0 and one to 1, so its move
+    # relation does not mention a'; player 2's pass is framed on b, which
+    # only its copy writes
+    "either": """
+vars: a, b, p, t1, t0
+init:
+player 1 action clear: pre = !p; eff = a := 0, p := 1, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 1 action set: pre = !p; eff = a := 1, p := 1, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 2 action pass: pre = p; eff = p := 0, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+player 2 action copy: pre = p; eff = b := !a, p := 0, t0 := !t0, t1 := (t1 & !t0) | (!t1 & t0)
+terminal: t1 & t0
+reward 1 100: a & b
+reward 1 0: !(a & b)
+reward 2 100: !(a & b)
+reward 2 0: a & b
+""",
     "trailing": """
 vars: a, b, t1, t0, g, h
 init: g
@@ -367,6 +392,29 @@ def test_written_levels_are_the_effect_variables(name):
     for action, rel in zip(spec.actions, ts.relations, strict=True):
         effects = {v for v, _ in action.effects}
         assert ts.written[rel] == tuple(2 * i for i, v in enumerate(spec.variables) if v in effects)
+
+
+def test_move_relation_keeps_the_written_levels_its_edge_does_not_mention():
+    spec = parse_game(SHAPE_GAMES["either"], name="either")
+    explicit = ExplicitGame(spec)
+    ts = compile_game(spec)
+    move = ts.moves[1]
+    assert move.written == (0, 4, 6, 8)  # a, p, t1, t0
+    assert 1 not in ts.store.support_levels(move.edge)  # no a'
+    successors = explicit.successors(spec.init_bits())
+    assert {bits[0] for bits in successors} == {0, 1}
+    assert image(ts, initial_edge(ts, spec)) == _state_set(ts, successors)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    table = solve(ts, spec, layers)
+    for layer in explicit.bfs_layers():
+        for bits in layer:
+            assert table.value_of(bits) == explicit.value(bits)
+    # duel: low1 | high1 does not mention m1' either, yet player 1 writes m1
+    spec = load_game(bundled_game_path("duel"))
+    ts = compile_game(spec)
+    assert ts.moves[1].written == (0, 6)  # m1, s0
+    assert 1 not in ts.store.support_levels(ts.moves[1].edge)
+    assert solve(ts, spec, layered_bfs(ts, initial_edge(ts, spec))).initial_value() == (40, 70)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_GAMES))
@@ -429,7 +477,7 @@ def test_sink_states_have_no_successors(counter):
 def test_transition_system_derives_the_interleaved_layout():
     store = BddStore(6)
     ts = TransitionSystem(store, ())
-    assert (ts.current, ts.nxt, ts.written) == ((0, 2, 4), (1, 3, 5), {})
+    assert (ts.current, ts.nxt, ts.written, ts.moves) == ((0, 2, 4), (1, 3, 5), {}, {})
     with pytest.raises(dataclasses.FrozenInstanceError):
         ts.current = (0,)
 
@@ -460,6 +508,15 @@ def test_strategy_parse_and_str():
         PartitionStrategy.parse("states-lex:0")
     with pytest.raises(ValueError):
         PartitionStrategy.parse("disj-var:2")
+    # the kind is checked before the parameter is read as an integer
+    for text, message in (("none:abc", "strategy none takes no parameter"),
+                          ("disj-var:x", "strategy disj-var takes no parameter"),
+                          ("none:", "strategy none takes no parameter"),
+                          ("bogus:3", "unknown strategy 'bogus'"),
+                          ("bogus:x", "unknown strategy 'bogus'"),
+                          ("states-lex:x", "strategy states-lex needs an integer parameter, got 'x'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            PartitionStrategy.parse(text)
 
 
 def test_strategy_parts_cover_and_are_disjoint(counter):

@@ -6,7 +6,7 @@ from .counting import CountTable, precompute_counts
 from .ranking import NotAMemberError, member_rank_or_none, rank, unrank
 from .partition import (LexPartition, SplitPair, disj_var, fold_states_lex,
                         split, split_at_count, states_lex_bounded)
-from .search import (LayerSequence, LayerStat, PartitionStrategy, Relation,
+from .search import (LayerSequence, LayerStat, Move, PartitionStrategy,
                      SearchLimits, TransitionSystem, image, layered_bfs, preimage)
 from .games import (GameSolveError, GameSpec, GameSpecError, SolutionTable,
                     bundled_game_names, bundled_game_path, compile_game,
@@ -21,7 +21,7 @@ __all__ = [
     "NotAMemberError", "member_rank_or_none", "rank", "unrank",
     "LexPartition", "SplitPair", "disj_var", "fold_states_lex",
     "split", "split_at_count", "states_lex_bounded",
-    "LayerSequence", "LayerStat", "PartitionStrategy", "Relation",
+    "LayerSequence", "LayerStat", "Move", "PartitionStrategy",
     "SearchLimits", "TransitionSystem", "image", "layered_bfs", "preimage",
     "GameSolveError", "GameSpec", "GameSpecError", "SolutionTable",
     "bundled_game_names", "bundled_game_path", "compile_game",

@@ -18,14 +18,14 @@ one node (see :func:`parse_formula`).  Blank lines and ``#`` comments
 are ignored.  The ``eff`` list may be empty or absent; unassigned
 variables keep their value.
 
-Compilation produces one transition relation per action over an
-interleaved current/next variable order, without frame axioms for the
-variables the action leaves alone, and a sink set of terminal
-states that image computation masks out, so they have no outgoing
-transitions.  Solving classifies every forward layer by game value,
-walking backward from the last layer and assigning each state the best
-reward class, in the moving player's preference order, whose
-already-classified successors it can reach.
+Compilation produces one move relation per player over an interleaved
+current/next variable order, the OR of the player's actions, each
+framed on the variables that the player's other actions write, and a
+sink set of terminal states that image computation masks out, so they
+have no outgoing transitions.  Solving classifies every forward layer
+by game value, walking backward from the last layer and assigning each
+state the best reward class, in the moving player's preference order,
+whose already-classified successors it can reach.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from collections.abc import Sequence
 from importlib import resources
 
 from .bdd import FALSE, TRUE, BddStore
-from .search import (LayerSequence, LayerStat, NO_PARTITION, PartitionStrategy,
-                     Relation, SearchLimits, TransitionSystem, _LayerSteps, _subimages)
+from .search import (LayerSequence, LayerStat, Move, NO_PARTITION, PartitionStrategy,
+                     SearchLimits, TransitionSystem, _LayerSteps, _subimages)
 
 
 class GameSpecError(ValueError):
@@ -335,29 +335,36 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
 
 
 def compile_game(spec: GameSpec) -> TransitionSystem:
-    """Build one transition relation per action and the terminal sink set.
+    """Build one move relation per player and the terminal sink set.
 
     Variable ``i`` of the spec sits at level ``2i`` and its next copy at
-    ``2i + 1``, which keeps the per-action relations small.  Each
-    relation is the precondition and one biconditional per written
-    variable, with no frame axioms, so it mentions the next copy of
-    exactly the variables its action writes (see :class:`Relation`).
-    The terminal formula becomes the ``sink`` set.  Each call makes a
-    fresh store.
+    ``2i + 1``, which keeps the relations small.  Each player, in the
+    order of its first action, gets one :class:`~lexbdd.search.Move`:
+    ``written`` holds the variables that some of its actions assign, and
+    each action's edge is the precondition and ``w' <-> rhs`` for every
+    written ``w``, where ``rhs`` is the action's effect on ``w``, or
+    ``w`` itself, a frame axiom, when the action leaves ``w`` alone.
+    The player's edge ORs its actions' edges.  The terminal formula
+    becomes the ``sink`` set.  Each call makes a fresh store.
     """
     store = BddStore(name for v in spec.variables for name in (v, v + "'"))
     cur = {v: 2 * i for i, v in enumerate(spec.variables)}
 
     relations = []
-    for action in spec.actions:
-        effect_map = dict(action.effects)
-        trans = _compile_formula(store, cur, action.precondition)
-        # conjoin bottom-up: deeper biconditionals first keeps intermediates small
-        for v in reversed([v for v in spec.variables if v in effect_map]):
-            rhs = _compile_formula(store, cur, effect_map[v])
-            bicond = store.ite(store.var(cur[v] + 1), rhs, -rhs)
-            trans = store.apply("and", trans, bicond)
-        relations.append(Relation(name=action.name, edge=trans, player=action.player))
+    for player in dict.fromkeys(action.player for action in spec.actions):
+        actions = [action for action in spec.actions if action.player == player]
+        assigned = {v for action in actions for v, _ in action.effects}
+        written = [v for v in spec.variables if v in assigned]
+        edge = FALSE
+        for action in actions:
+            effects = dict(action.effects)
+            trans = _compile_formula(store, cur, action.precondition)
+            # conjoin bottom-up: deeper biconditionals first keeps intermediates small
+            for v in reversed(written):
+                rhs = _compile_formula(store, cur, effects.get(v, ("var", v)))
+                trans = store.apply("and", trans, store.ite(store.var(cur[v] + 1), rhs, -rhs))
+            edge = store.apply("or", edge, trans)
+        relations.append(Move(player, edge, tuple(cur[v] for v in written)))
     return TransitionSystem(store=store, relations=tuple(relations),
                             sink=_compile_formula(store, cur, spec.terminal))
 
@@ -456,13 +463,15 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     belong to the player who can move in them and are classified in that
     player's preference order: each class receives the still-unassigned
     states that can reach an already-classified successor of that class.
-    Each such preimage is taken through the player's move relation (see
-    :class:`~lexbdd.search.Move`), with the player's still-unassigned
-    states of the layer as the care set of the relational product, so
-    it never leaves them (nor meets the sink set) and needs no AND with
-    them afterwards; a player's class loop stops once every state is
-    assigned.  A state left over after all classes is a spec defect and
-    raises :class:`GameSolveError` naming the layer.
+    The states where a player can move are its move relation (see
+    :class:`~lexbdd.search.Move`) with the next variables quantified.
+    Each such preimage is taken through that relation, with the
+    player's still-unassigned states of the layer as the care set of
+    the relational product, so it never leaves them (nor meets the sink
+    set) and needs no AND with them afterwards; a player's class loop
+    stops once every state is assigned.  A state left over after all
+    classes is a spec defect and raises :class:`GameSolveError` naming
+    the layer.
 
     Between layer steps, as in :func:`~lexbdd.search.layered_bfs`,
     :class:`~lexbdd.search._LayerSteps` keeps the reward classes, the
@@ -478,13 +487,10 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     store = ts.store
     steps = _LayerSteps(store, limits)
     class_keys, class_edges = _reward_classes(ts, spec)
-    can_move = {}
-    for p in range(1, spec.players + 1):
-        pres = FALSE
-        for action in spec.actions:
-            if action.player == p:
-                pres = store.apply("or", pres, formula_edge(ts, spec, action.precondition))
-        can_move[p] = pres
+    relations = {rel.player: rel for rel in ts.relations}
+    # where a player can move: its relation with the next levels quantified
+    can_move = {p: store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)
+                for p, rel in sorted(relations.items())}
     prefs = {p: _preference_order(class_keys, p) for p in can_move}
 
     last = len(layers.layers) - 1
@@ -536,7 +542,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                         continue
                     # restricted to mine inside the product, so pred <= mine
                     pred, sub_peak = _subimages(ts, succ, strategy, forward=False,
-                                                moves=(ts.moves[p],), care=mine)
+                                                relations=(relations[p],), care=mine)
                     peak = max(peak, sub_peak)
                     if pred != FALSE:
                         classes[key] = store.apply("or", classes[key], pred)

@@ -1,20 +1,17 @@
 """Image computation over disjunctive transition relations and layered BFS.
 
-The transition relation is given as one BDD per action and never built
-monolithically.  Variable ``i`` sits at level ``2i`` and its next copy
-at ``2i + 1``.  An action's relation holds no frame axioms: it writes
-exactly the variables whose next copy it mentions, and every other
-variable keeps its value implicitly.  The actions of one player are
-joined, once, into that player's move relation: each action is framed
-only on the variables its fellow actions write, and the framed
-relations are ORed.  States without successors are
+The transition relation is given as one BDD per player, its move
+relation, and never built monolithically.  Variable ``i`` sits at level
+``2i`` and its next copy at ``2i + 1``.  A move relation writes the
+variables listed beside it and keeps every other variable implicitly,
+with no frame axiom for it.  States without successors are
 kept out of the relations as a separate sink set: it is masked out of
 each forward source part, and a backward product excludes it through
 its care set, during the product rather than after it.  An image
 distributes over both the players' move relations and an optional
 partition of the source set, computes one relational product per
 (part, player) pair and ORs each subimage into the image as it is made.
-Each product quantifies only the levels its player's actions write and
+Each product quantifies only the levels its player writes and
 moves those variables between their current and next copies itself, so
 every subimage comes out over the current variables and nothing is
 renamed.
@@ -37,59 +34,41 @@ from .partition import disj_var, fold_states_lex, states_lex_bounded
 STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One action's transition relation over current and next variables.
-
-    ``edge`` has no frame axioms: the action writes exactly the
-    variables whose next copy it mentions, and every other variable
-    keeps its value.  So no relation can leave a variable arbitrary:
-    an edge that does not depend on ``w'`` keeps ``w``.  The relations
-    of one ``player`` (``None`` is a player too) are searched together,
-    as that player's :class:`Move`.
-    """
-    name: str
-    edge: int
-    player: int | None = None
-
-
 class Move(NamedTuple):  # not a dataclass: building one at import costs 7x as much
-    """One player's move relation: the OR of its actions, each framed on its fellows' writes.
+    """One player's move relation over current and next variables.
 
-    ``written`` holds the current levels that some action of the player
-    writes.  Each action's edge is conjoined with ``w' <-> w`` for every
-    level ``w`` in ``written`` that the action leaves alone, so ``edge``
-    keeps every variable outside ``written`` implicitly, as a
-    :class:`Relation` does.  ``written`` is kept beside the edge because
-    the edge's support does not tell it: ``low ∨ high`` may no longer
-    mention ``m'`` although both actions write ``m``.
+    ``written`` holds, sorted, the current levels of the variables that
+    some action of ``player`` writes.  ``edge`` reads the next copy of
+    no other variable and keeps every variable outside ``written``
+    implicitly: an image moves only the written ones.  ``written`` is
+    kept beside the edge because the edge's support does not tell it:
+    ``low ∨ high`` may no longer mention ``m'`` although both actions
+    write ``m``.  A written level that the edge does not read is left
+    arbitrary.
     """
+    player: int
     edge: int
     written: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """Action relations over interleaved current/next variables, plus a sink set.
+    """The transition relation, one :class:`Move` per player, plus a sink set.
 
     Variable ``i`` sits at level ``2i`` (``current``) and its next copy
     at ``2i + 1`` (``nxt``), so the store holds an even number of
-    levels.  ``written`` maps each relation to the current levels of the
-    variables it writes, derived once from the next levels its edge
-    mentions.  ``moves`` maps each player, in the order of its first
-    relation, to its :class:`Move`, built once here, before any search
-    can compact the store; each frame axiom is conjoined deepest level
-    first, which leaves fewer dead nodes behind.  ``sink`` holds the
-    current states that have no successors whatever the relations say;
-    ``image`` and ``preimage`` mask it out.
+    levels.  ``relations`` partition the transition relation by player;
+    an image ORs their products.  ``sink`` holds the current states
+    that have no successors whatever the relations say; ``image`` and
+    ``preimage`` mask it out.  A relation whose ``written`` is not a
+    sorted tuple of distinct current levels, or whose edge reads the
+    next copy of a variable it does not write, is rejected.
     """
     store: BddStore
-    relations: tuple[Relation, ...]
+    relations: tuple[Move, ...]
     sink: int = FALSE
     current: tuple[int, ...] = field(init=False)
     nxt: tuple[int, ...] = field(init=False)
-    written: dict[Relation, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    moves: dict[int | None, Move] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.store.n
@@ -98,26 +77,18 @@ class TransitionSystem:
         stray = sorted(lvl for lvl in self.store.support_levels(self.sink) if lvl % 2)
         if stray:
             raise ValueError(f"sink set mentions next levels {stray}")
-        object.__setattr__(self, "current", tuple(range(0, n, 2)))
+        current = tuple(range(0, n, 2))
+        for rel in self.relations:
+            if tuple(rel.written) != tuple(lvl for lvl in current if lvl in rel.written):
+                raise ValueError(f"relation of player {rel.player} writes levels "
+                                 f"{tuple(rel.written)}, not sorted distinct current levels")
+            stray = sorted(lvl for lvl in self.store.support_levels(rel.edge)
+                           if lvl % 2 and lvl - 1 not in rel.written)
+            if stray:
+                raise ValueError(f"relation of player {rel.player} reads next levels "
+                                 f"{stray} of variables it does not write")
+        object.__setattr__(self, "current", current)
         object.__setattr__(self, "nxt", tuple(range(1, n, 2)))
-        store = self.store
-        written = {rel: tuple(sorted(lvl - 1 for lvl in store.support_levels(rel.edge) if lvl % 2))
-                   for rel in self.relations}
-        moves = {}
-        for player in dict.fromkeys(rel.player for rel in self.relations):
-            rels = [rel for rel in self.relations if rel.player == player]
-            union = sorted(set().union(*(written[rel] for rel in rels)))
-            edge = FALSE
-            for rel in rels:
-                framed = rel.edge
-                for w in reversed(union):
-                    if w not in written[rel]:
-                        frame = store.ite(store.var(w + 1), store.var(w), -store.var(w))
-                        framed = store.apply("and", framed, frame)
-                edge = store.apply("or", edge, framed)
-            moves[player] = Move(edge, tuple(union))
-        object.__setattr__(self, "written", written)
-        object.__setattr__(self, "moves", moves)
 
 
 @dataclass(frozen=True)
@@ -271,21 +242,21 @@ class LayerSequence:
 
 
 def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStrategy,
-               forward: bool, moves: tuple[Move, ...] | None = None,
+               forward: bool, relations: tuple[Move, ...] | None = None,
                care: int | None = None) -> tuple[int, int]:
     """Partition ``s`` and OR its per-part, per-player relational products into one set.
 
     ``s`` (a state set or its :class:`CountTable`) is partitioned over
-    the current variables; ``moves`` defaults to every player's
-    :class:`Move`.  Forward masks the sink set out of each part,
-    quantifies the current levels the player's actions write and makes
+    the current variables; ``relations`` defaults to ``ts.relations``,
+    one :class:`Move` per player.  Forward masks the sink set out of
+    each part, quantifies the current levels the player writes and makes
     each written next level at its current level.  Backward reads the
     part's written current levels as next levels, quantifies those, and
     takes the ternary product with ``care``, a set over the current
     variables (default: every state outside the sink set; forward
     ignores it), so each preimage is restricted to ``care`` as it is
-    built and is never taken over the whole state space.  A move that
-    writes nothing is a plain conjunction.  Every subimage comes out
+    built and is never taken over the whole state space.  A relation
+    that writes nothing is a plain conjunction.  Every subimage comes out
     over the current variables, the same function, and so of the same
     size, as the player's framed product renamed back.  Returns the
     image and its peak: the largest diagram among the (part, player)
@@ -293,8 +264,8 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
     the players.
     """
     store = ts.store
-    if moves is None:
-        moves = tuple(ts.moves.values())
+    if relations is None:
+        relations = ts.relations
     if forward:
         parts = [store.apply("and", part, -ts.sink)
                  for part in strategy.parts_of(store, s, ts.current)]
@@ -304,10 +275,10 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
         if care is None:
             care = -ts.sink
     products = []  # (edge, quantified levels, read map, write map) per player
-    for move in moves:
-        shift = {w: w + 1 for w in move.written}
-        back = {w + 1: w for w in move.written}
-        products.append((move.edge, shift, None, back) if forward else (move.edge, back, shift, None))
+    for rel in relations:
+        shift = {w: w + 1 for w in rel.written}
+        back = {w + 1: w for w in rel.written}
+        products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
     merged, peak = FALSE, 0
     for part in parts:
         if part == FALSE:

@@ -10,6 +10,7 @@ import random
 
 from lexbdd import BddStore
 from lexbdd.bdd import FALSE, TRUE
+from lexbdd.games import formula_edge
 
 
 def from_truth_table(store: BddStore, table) -> int:
@@ -30,6 +31,29 @@ def from_truth_table(store: BddStore, table) -> int:
 def exists(store: BddStore, levels, f: int) -> int:
     """Quantify ``levels`` out of ``f``: the relational product with ``TRUE``."""
     return store.and_exists(levels, f, TRUE)
+
+
+def action_relations(ts, spec):
+    """Each action's relation, compiled on its own: ``(player, edge, written)`` per action.
+
+    ``edge`` is the precondition and one biconditional ``v' <-> rhs``
+    per variable ``v`` the action assigns, with no frame axioms, and
+    ``written`` holds the current levels of those variables.  This is
+    the per-action form that a player's move relation frames and ORs.
+    """
+    store = ts.store
+    out = []
+    for action in spec.actions:
+        effects = dict(action.effects)
+        edge = formula_edge(ts, spec, action.precondition)
+        written = []
+        for lvl, v in zip(ts.current, spec.variables):
+            if v in effects:
+                rhs = formula_edge(ts, spec, effects[v])
+                edge = store.apply("and", edge, store.ite(store.var(lvl + 1), rhs, -rhs))
+                written.append(lvl)
+        out.append((action.player, edge, tuple(written)))
+    return out
 
 
 def negate(e: int) -> int:

@@ -19,6 +19,7 @@ from lexbdd.games import formula_edge, parse_formula, state_edge
 from lexbdd.search import PartitionStrategy, SearchLimits
 
 from explicit import ExplicitGame, eval_formula
+from helpers import action_relations
 
 
 STRATEGIES = ("none", "fold-states-lex:8", "states-lex:64", "disj-var")
@@ -269,8 +270,9 @@ def test_terminal_states_have_no_outgoing_transitions():
 def test_tictactoe_compile_shape():
     spec = load_game(bundled_game_path("tictactoe"))
     ts = compile_game(spec)
-    assert len(ts.relations) == 18
-    assert sum(1 for r in ts.relations if r.player == 1) == 9
+    assert [r.player for r in ts.relations] == [1, 2]
+    assert sum(1 for a in spec.actions if a.player == 1) == 9
+    assert sum(1 for a in spec.actions if a.player == 2) == 9
     first_moves = image(ts, initial_edge(ts, spec))
     assert precompute_counts(ts.store, first_moves, ts.current).root_count == 9
 
@@ -520,9 +522,10 @@ def _full_assignment(store, state, nxt):
 def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
     # one store through all four strategies and fold-states-lex:64 first,
     # which makes enough nodes to compact inside a call on every game but
-    # counter3 and duel: the edges made before a search (the relations and
-    # the players' move relations among them), and those every earlier
-    # search and solve returned, keep their meaning
+    # counter3 and duel: the edges made before a search (the players' move
+    # relations and each action's relation compiled on its own among
+    # them), and those every earlier search and solve returned, keep their
+    # meaning
     spec = load_game(bundled_game_path(name))
     game = ExplicitGame(spec)
     explicit_layers = game.bfs_layers()
@@ -538,7 +541,8 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
         points.append(_full_assignment(store, state, [rng.randint(0, 1) for _ in state]))
     init = initial_edge(ts, spec)
     held = [init, formula_edge(ts, spec, spec.rewards[1][0][1]), ts.sink,
-            *(rel.edge for rel in ts.relations), *(move.edge for move in ts.moves.values())]
+            *(rel.edge for rel in ts.relations),
+            *(edge for _, edge, _ in action_relations(ts, spec))]
 
     def truth_tables():
         return [[store.evaluate(e, p) for p in points] for e in held]

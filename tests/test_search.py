@@ -12,11 +12,12 @@ import lexbdd.search
 from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage, \
     precompute_counts
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, initial_edge, \
-    load_game, parse_game, solve, state_edge
-from lexbdd.search import Relation, TransitionSystem, _subimages
+from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, formula_edge, \
+    initial_edge, load_game, parse_game, solve, state_edge
+from lexbdd.search import Move, TransitionSystem, _subimages
 
 from explicit import ExplicitGame
+from helpers import action_relations
 
 COUNTER = """
 name: counter3
@@ -78,12 +79,11 @@ def test_image_distributes_over_partitions(counter):
         assert image(ts, s, strategy) == whole
 
 
-def _framed(ts, rel):
-    """``rel.edge`` with a frame axiom ``u' <-> u`` for every variable it does not write."""
+def _framed(ts, edge, written):
+    """``edge`` with a frame axiom ``u' <-> u`` for every variable outside ``written``."""
     store = ts.store
-    edge = rel.edge
     for u in ts.current:
-        if u not in ts.written[rel]:
+        if u not in written:
             frame = store.ite(store.var(u + 1), store.var(u), -store.var(u))
             edge = store.apply("and", edge, frame)
     return edge
@@ -100,24 +100,26 @@ def _framed_product(ts, edge, part, forward):
     return store.apply("and", store.and_exists(set(ts.nxt), edge, source), -ts.sink)
 
 
-def _subimages_reference(ts, parts, forward):
+def _subimages_reference(ts, spec, parts, forward):
     """Reference image and peak from framed relations, every piece over the current variables.
 
-    The image ORs one plain product per (part, action), each action with
-    all its frame axioms back.  The peak is the largest diagram among the
-    image and the per-(part, player) pieces, each player's relation being
-    the OR of its actions' framed relations.  ``parts`` partition the set
-    over the current variables, and each is renamed on its own.
+    The image ORs one plain product per (part, action), each action
+    compiled on its own with all its frame axioms back.  The peak is the
+    largest diagram among the image and the per-(part, player) pieces,
+    each player's relation being the OR of its actions' framed
+    relations.  ``parts`` partition the set over the current variables,
+    and each is renamed on its own.
     """
     store = ts.store
-    framed = {rel: _framed(ts, rel) for rel in ts.relations}
+    framed = [(player, _framed(ts, edge, written))
+              for player, edge, written in action_relations(ts, spec)]
     result = FALSE
     for part in parts:
-        for edge in framed.values():
+        for _, edge in framed:
             result = store.apply("or", result, _framed_product(ts, edge, part, forward))
     clusters = {}
-    for rel, edge in framed.items():
-        clusters[rel.player] = store.apply("or", clusters.get(rel.player, FALSE), edge)
+    for player, edge in framed:
+        clusters[player] = store.apply("or", clusters.get(player, FALSE), edge)
     pieces = [_framed_product(ts, edge, part, forward) for part in parts for edge in clusters.values()]
     return result, max(len(store.descendants(e)) for e in (*pieces, result))
 
@@ -134,7 +136,7 @@ def test_subimages_match_the_framed_reference(name):
             parts = strategy.parts_of(store, layer, ts.current)
             for forward in (True, False):
                 assert _subimages(ts, layer, strategy, forward=forward) == \
-                    _subimages_reference(ts, parts, forward)
+                    _subimages_reference(ts, spec, parts, forward)
         solve(ts, spec, layers, strategy)
         store.check()
 
@@ -166,11 +168,12 @@ def test_peak_does_not_depend_on_action_order(name):
         strategy = PartitionStrategy.parse(text)
         rows = []
         for reverse in (False, True):
-            ts = compile_game(spec)
-            if reverse:
-                ts = dataclasses.replace(ts, relations=ts.relations[::-1])
-            layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-            table = solve(ts, spec, layers, strategy)
+            # reversed, compile_game frames and ORs the actions, and lists
+            # the players, the other way round
+            game = dataclasses.replace(spec, actions=spec.actions[::-1]) if reverse else spec
+            ts = compile_game(game)
+            layers = layered_bfs(ts, initial_edge(ts, game), strategy)
+            table = solve(ts, game, layers, strategy)
             ts.store.check()
             rows.append([(r.direction, r.index, r.max_image_nodes, r.states)
                          for r in layers.stats + table.stats])
@@ -278,11 +281,11 @@ def test_empty_init_rejected(counter):
         layered_bfs(ts, FALSE)
 
 
-def _monolithic_relation(ts):
+def _monolithic_relation(ts, spec):
     """The disjunction of all action relations, each with its frame axioms, as one BDD."""
     result = FALSE
-    for rel in ts.relations:
-        result = ts.store.apply("or", result, _framed(ts, rel))
+    for _, edge, written in action_relations(ts, spec):
+        result = ts.store.apply("or", result, _framed(ts, edge, written))
     return result
 
 
@@ -292,10 +295,10 @@ def test_monolithic_image_agrees(name):
     # frame-free relations differ from their framed disjunction
     spec = load_game(bundled_game_path(name))
     ts = compile_game(spec)
-    assert any(len(ts.written[rel]) < len(ts.current) for rel in ts.relations)
-    mono = Relation("all", _monolithic_relation(ts))
+    assert any(len(written) < len(ts.current) for _, _, written in action_relations(ts, spec))
+    mono = Move(1, _monolithic_relation(ts, spec), ts.current)
     mono_ts = TransitionSystem(store=ts.store, relations=(mono,), sink=ts.sink)
-    assert mono_ts.written[mono] == ts.current
+    assert {lvl - 1 for lvl in ts.store.support_levels(mono.edge) if lvl % 2} == set(ts.current)
     seq = layered_bfs(ts, initial_edge(ts, spec))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
         strategy = PartitionStrategy.parse(text)
@@ -382,23 +385,45 @@ reward 1 0: !(a & g) & !b
 }
 
 
+def _shape_or_bundled(name):
+    if name in SHAPE_GAMES:
+        return parse_game(SHAPE_GAMES[name], name=name)
+    return load_game(bundled_game_path(name))
+
+
 @pytest.mark.parametrize("name", [*bundled_game_names(), *sorted(SHAPE_GAMES)])
 def test_written_levels_are_the_effect_variables(name):
-    if name in SHAPE_GAMES:
-        spec = parse_game(SHAPE_GAMES[name], name=name)
-    else:
-        spec = load_game(bundled_game_path(name))
+    spec = _shape_or_bundled(name)
     ts = compile_game(spec)
-    for action, rel in zip(spec.actions, ts.relations, strict=True):
-        effects = {v for v, _ in action.effects}
-        assert ts.written[rel] == tuple(2 * i for i, v in enumerate(spec.variables) if v in effects)
+    # one relation per player, in the order of the players' first actions
+    players = list(dict.fromkeys(action.player for action in spec.actions))
+    assert [rel.player for rel in ts.relations] == players
+    for rel in ts.relations:
+        effects = {v for action in spec.actions if action.player == rel.player
+                   for v, _ in action.effects}
+        assert rel.written == tuple(2 * i for i, v in enumerate(spec.variables) if v in effects)
+
+
+@pytest.mark.parametrize("name", [*bundled_game_names(), *sorted(SHAPE_GAMES)])
+def test_where_a_player_can_move_is_the_or_of_its_preconditions(name):
+    # solve takes it from the relation: every w' <-> rhs has a witness
+    spec = _shape_or_bundled(name)
+    ts = compile_game(spec)
+    store = ts.store
+    for rel in ts.relations:
+        pres = FALSE
+        for action in spec.actions:
+            if action.player == rel.player:
+                pres = store.apply("or", pres, formula_edge(ts, spec, action.precondition))
+        assert store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE) == pres
 
 
 def test_move_relation_keeps_the_written_levels_its_edge_does_not_mention():
     spec = parse_game(SHAPE_GAMES["either"], name="either")
     explicit = ExplicitGame(spec)
     ts = compile_game(spec)
-    move = ts.moves[1]
+    move = ts.relations[0]
+    assert move.player == 1
     assert move.written == (0, 4, 6, 8)  # a, p, t1, t0
     assert 1 not in ts.store.support_levels(move.edge)  # no a'
     successors = explicit.successors(spec.init_bits())
@@ -412,8 +437,9 @@ def test_move_relation_keeps_the_written_levels_its_edge_does_not_mention():
     # duel: low1 | high1 does not mention m1' either, yet player 1 writes m1
     spec = load_game(bundled_game_path("duel"))
     ts = compile_game(spec)
-    assert ts.moves[1].written == (0, 6)  # m1, s0
-    assert 1 not in ts.store.support_levels(ts.moves[1].edge)
+    move = ts.relations[0]
+    assert (move.player, move.written) == (1, (0, 6))  # m1, s0
+    assert 1 not in ts.store.support_levels(move.edge)
     assert solve(ts, spec, layered_bfs(ts, initial_edge(ts, spec))).initial_value() == (40, 70)
 
 
@@ -477,7 +503,7 @@ def test_sink_states_have_no_successors(counter):
 def test_transition_system_derives_the_interleaved_layout():
     store = BddStore(6)
     ts = TransitionSystem(store, ())
-    assert (ts.current, ts.nxt, ts.written, ts.moves) == ((0, 2, 4), (1, 3, 5), {}, {})
+    assert (ts.current, ts.nxt, ts.relations) == ((0, 2, 4), (1, 3, 5), ())
     with pytest.raises(dataclasses.FrozenInstanceError):
         ts.current = (0,)
 
@@ -489,12 +515,28 @@ def test_transition_system_rejects_stray_levels():
     store = BddStore(4)
     with pytest.raises(ValueError, match=r"sink set mentions next levels \[3\]"):
         TransitionSystem(store, (), sink=store.apply("and", store.var(0), store.var(3)))
+    # written levels that are unsorted, repeated, next levels or out of range
+    edge = store.apply("and", store.var(1), store.var(3))
+    for written in ((2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 4), (-2, 0, 2)):
+        with pytest.raises(ValueError, match=r"^relation of player 1 writes levels .*, "
+                                             "not sorted distinct current levels$"):
+            TransitionSystem(store, (Move(1, edge, written),))
+    # an edge that reads the next copy of a variable it does not write
+    with pytest.raises(ValueError, match=r"^relation of player 2 reads next levels \[3\] "
+                                         "of variables it does not write$"):
+        TransitionSystem(store, (Move(1, edge, (0, 2)), Move(2, edge, (0,))))
 
 
-def test_relation_takes_no_written_levels():
-    store = BddStore(2)
-    with pytest.raises(TypeError):
-        Relation("w", store.var(1), written=(0,))
+def test_hand_built_relation_moves_only_its_written_levels():
+    # a := 1, b kept; then a := 1 with b written but unread, so left arbitrary
+    store = BddStore(4)
+    a, b = store.var(0), store.var(2)
+    keeps = TransitionSystem(store, (Move(1, store.var(1), (0,)),))
+    assert image(keeps, -a) == a
+    assert image(keeps, store.apply("and", -a, b)) == store.apply("and", a, b)
+    frees = TransitionSystem(store, (Move(1, store.var(1), (0, 2)),))
+    assert image(frees, store.apply("and", -a, b)) == a
+    assert preimage(frees, store.apply("and", a, -b)) == TRUE
 
 
 def test_strategy_parse_and_str():

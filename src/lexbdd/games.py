@@ -25,7 +25,11 @@ sink set of terminal states that image computation masks out, so they
 have no outgoing transitions.  Solving classifies every forward layer
 by game value, walking backward from the last layer and assigning each
 state the best reward class, in the moving player's preference order,
-whose already-classified successors it can reach.
+whose already-classified successors it can reach.  It takes each
+layer's terminal and non-terminal halves from the forward search, never
+from the sink set, and compiles the reward formulas only over the
+reachable terminal states, where each player's rewards must be
+exclusive and exhaustive.
 """
 
 from __future__ import annotations
@@ -308,29 +312,41 @@ def bundled_game_names() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # compilation to a transition system
 
-def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
-    """Compile a parsed formula to a BDD, reading variable ``v`` at ``levels[v]``.
+def _compile_formula(store: BddStore, levels: dict[str, int], formula, care: int = TRUE) -> int:
+    """Compile a parsed formula inside ``care``, reading variable ``v`` at ``levels[v]``.
 
-    ``and`` and ``or`` fold left to right, ``imp`` from the right.
+    Returns ``care ∧ formula``.  A top-level ``and`` chain folds its
+    operands into ``care`` one at a time, so no intermediate result
+    leaves ``care``; any other formula is conjoined with ``care`` once.
+    With the default ``care`` no conjunction with it is made.
     """
+    result = care
+    for conjunct in (formula[1:] if formula[0] == "and" else (formula,)):
+        edge = _compile_node(store, levels, conjunct)
+        result = edge if result == TRUE else store.apply("and", result, edge)
+    return result
+
+
+def _compile_node(store: BddStore, levels: dict[str, int], formula) -> int:
+    """``and`` and ``or`` fold left to right, ``imp`` from the right."""
     op = formula[0]
     if op == "const":
         return TRUE if formula[1] else FALSE
     if op == "var":
         return store.var(levels[formula[1]])
     if op == "not":
-        return -_compile_formula(store, levels, formula[1])
+        return -_compile_node(store, levels, formula[1])
     if op == "imp":
-        premises = [_compile_formula(store, levels, f) for f in formula[1:-1]]
-        result = _compile_formula(store, levels, formula[-1])
+        premises = [_compile_node(store, levels, f) for f in formula[1:-1]]
+        result = _compile_node(store, levels, formula[-1])
         for a in reversed(premises):
             result = store.apply("or", -a, result)
         return result
     if op not in ("and", "or"):
         raise ValueError(f"bad formula node {formula!r}")
-    result = _compile_formula(store, levels, formula[1])
+    result = _compile_node(store, levels, formula[1])
     for operand in formula[2:]:
-        result = store.apply(op, result, _compile_formula(store, levels, operand))
+        result = store.apply(op, result, _compile_node(store, levels, operand))
     return result
 
 
@@ -369,9 +385,12 @@ def compile_game(spec: GameSpec) -> TransitionSystem:
                             sink=_compile_formula(store, cur, spec.terminal))
 
 
-def formula_edge(ts: TransitionSystem, spec: GameSpec, formula) -> int:
-    """Compile a formula over the game's variables to a current-state BDD."""
-    return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula)
+def formula_edge(ts: TransitionSystem, spec: GameSpec, formula, care: int = TRUE) -> int:
+    """Compile a formula over the game's variables to a current-state BDD.
+
+    Returns the formula's states inside ``care`` (see :func:`_compile_formula`).
+    """
+    return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula, care)
 
 
 def _check_state_bits(ts: TransitionSystem, bits: Sequence) -> None:
@@ -432,17 +451,41 @@ class SolutionTable:
         raise LookupError(f"state {tuple(bits)} is not classified (unreachable?)")
 
 
-def _reward_classes(ts: TransitionSystem, spec: GameSpec):
-    """Cross product of the per-player reward formulas: value tuples and their conjunctions."""
-    per_player = [[(value, formula_edge(ts, spec, formula)) for value, formula in spec.rewards[p]]
-                  for p in range(1, spec.players + 1)]
+def _reward_classes(ts: TransitionSystem, spec: GameSpec, every: int):
+    """Cross product of the per-player rewards over the reachable terminal states ``every``.
+
+    Each reward formula is compiled inside ``every`` and rewards of equal
+    value are joined, so no diagram reaches outside the terminal states
+    that need a class.  Each player's rewards must partition ``every``:
+    two values that share a state, or a state with no value, raise
+    :class:`GameSolveError`.  Returns the value tuples, in declaration
+    order, and a dict of their conjunctions.
+    """
+    store = ts.store
+    per_player = []
+    for p in range(1, spec.players + 1):
+        sets: dict[int, int] = {}
+        for value, formula in spec.rewards[p]:
+            edge = formula_edge(ts, spec, formula, every)
+            sets[value] = store.apply("or", sets.get(value, FALSE), edge)
+        for (v, e), (w, f) in itertools.combinations(sets.items(), 2):
+            if store.apply("and", e, f) != FALSE:
+                raise GameSolveError(f"rewards {v} and {w} of player {p} overlap "
+                                     "on reachable terminal states")
+        covered = FALSE
+        for edge in sets.values():
+            covered = store.apply("or", covered, edge)
+        if covered != every:
+            raise GameSolveError(f"reachable terminal states not covered by the reward "
+                                 f"classes of player {p}")
+        per_player.append(sets.items())
     keys: list[tuple[int, ...]] = []
     edges: dict[tuple[int, ...], int] = {}
     for members in itertools.product(*per_player):
         key = tuple(value for value, _ in members)
         edge = TRUE
         for _, member in members:
-            edge = ts.store.apply("and", edge, member)
+            edge = store.apply("and", edge, member)
         keys.append(key)
         edges[key] = edge
     return tuple(keys), edges
@@ -458,11 +501,17 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
           limits: SearchLimits | None = None) -> SolutionTable:
     """Classify every reachable state by its game value.
 
-    Walks the forward layers backward.  Terminal states take the value
-    of their reward class directly.  The remaining states of a layer
-    belong to the player who can move in them and are classified in that
-    player's preference order: each class receives the still-unassigned
-    states that can reach an already-classified successor of that class.
+    Walks the forward layers backward.  Each layer's terminal half is
+    the layer minus its non-terminal half, which the forward search kept
+    (see :class:`~lexbdd.search.LayerSequence`), so the sink set is
+    never walked.  The reward classes are built once, over the OR of the
+    terminal halves, and a player's rewards that overlap there, or leave
+    a state there without a value, raise :class:`GameSolveError`.
+    Terminal states take the value of their reward class directly.  The
+    non-terminal states of a layer belong to the player who can move in
+    them and are classified in that player's preference order: each class
+    receives the still-unassigned states that can reach an
+    already-classified successor of that class.
     The states where a player can move are its move relation (see
     :class:`~lexbdd.search.Move`) with the next variables quantified.
     Each such preimage is taken through that relation, with the
@@ -475,8 +524,9 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
 
     Between layer steps, as in :func:`~lexbdd.search.layered_bfs`,
     :class:`~lexbdd.search._LayerSteps` keeps the reward classes, the
-    movers' sets and the classes of the layers already solved; every
-    edge made before the call, the layers among them, keeps its meaning.
+    movers' sets, the terminal halves and the classes of the layers
+    already solved; every edge made before the call, the layers and
+    their non-terminal halves among them, keeps its meaning.
     After the last layer, each class is joined over the layers into one
     value set (see :class:`SolutionTable`), so that queries create no
     nodes, and the caches are emptied, so a solved store holds no cache
@@ -486,7 +536,12 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
     steps = _LayerSteps(store, limits)
-    class_keys, class_edges = _reward_classes(ts, spec)
+    terminal = {d: store.apply("and", layer, -rest)
+                for d, (layer, rest) in enumerate(zip(layers.layers, layers.nonterminal))}
+    every = FALSE
+    for edge in terminal.values():
+        every = store.apply("or", every, edge)
+    class_keys, class_edges = _reward_classes(ts, spec, every)
     relations = {rel.player: rel for rel in ts.relations}
     # where a player can move: its relation with the next levels quantified
     can_move = {p: store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)
@@ -499,7 +554,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     complete = True
 
     for d in range(last, -1, -1):
-        held = [class_edges, can_move, *layer_classes[d + 1:]]
+        held = [class_edges, can_move, terminal, *layer_classes[d + 1:]]
         edges = iter(steps.start([e for table in held for e in table.values()]))
         for table in held:
             table.update({key: next(edges) for key in table})
@@ -508,17 +563,9 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
             break
         t0 = time.perf_counter()
         peak = 0
-        layer = layers.layers[d]
-        terminal_here = store.apply("and", layer, ts.sink)
-        classes = {key: store.apply("and", terminal_here, class_edges[key])
+        classes = {key: store.apply("and", terminal[d], class_edges[key])
                    for key in class_keys}
-        covered = FALSE
-        for key in class_keys:
-            covered = store.apply("or", covered, classes[key])
-        if covered != terminal_here:
-            raise GameSolveError(
-                f"layer {d}: terminal states not covered by the reward classes")
-        rest = store.apply("and", layer, -ts.sink)
+        rest = layers.nonterminal[d]
         if rest != FALSE:
             if d == last:
                 raise GameSolveError(

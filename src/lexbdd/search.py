@@ -7,7 +7,10 @@ variables listed beside it and keeps every other variable implicitly,
 with no frame axiom for it.  States without successors are
 kept out of the relations as a separate sink set: it is masked out of
 each forward source part, and a backward product excludes it through
-its care set, during the product rather than after it.  An image
+its care set, during the product rather than after it.  The forward
+search masks each layer once, keeps that non-terminal half beside the
+layer, and masks each of the layer's parts with it, so a backward solve
+reads both halves of a layer without walking the sink set.  An image
 distributes over both the players' move relations and an optional
 partition of the source set, computes one relational product per
 (part, player) pair and ORs each subimage into the image as it is made.
@@ -234,8 +237,16 @@ class LayerStat:
 
 @dataclass
 class LayerSequence:
-    """Breadth-first layers plus their metrics; ``reached`` is the union."""
+    """Breadth-first layers plus their metrics; ``reached`` is the union.
+
+    ``nonterminal[d]`` is the non-terminal half of ``layers[d]``, its
+    states outside the sink set, which the search built as the source of
+    the layer's image; the terminal half is ``layers[d] ∧ ¬nonterminal[d]``.
+    A complete sequence holds one per layer; an incomplete one lacks it
+    for the last layer, whose image the search never began.
+    """
     layers: list[int]
+    nonterminal: list[int]
     stats: list[LayerStat]
     reached: int
     complete: bool
@@ -248,14 +259,17 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
 
     ``s`` (a state set or its :class:`CountTable`) is partitioned over
     the current variables; ``relations`` defaults to ``ts.relations``,
-    one :class:`Move` per player.  Forward masks the sink set out of
-    each part, quantifies the current levels the player writes and makes
-    each written next level at its current level.  Backward reads the
-    part's written current levels as next levels, quantifies those, and
-    takes the ternary product with ``care``, a set over the current
-    variables (default: every state outside the sink set; forward
-    ignores it), so each preimage is restricted to ``care`` as it is
-    built and is never taken over the whole state space.  A relation
+    one :class:`Move` per player.  ``care`` is a set over the current
+    variables.  Forward images only the states of ``s`` in ``care``:
+    ``care`` must lie inside ``s``, and defaults to ``s`` outside the
+    sink set.  Each part is masked with it, and a part that is all of
+    ``s`` is ``care`` itself, with no AND.  Forward then quantifies the
+    current levels the player writes and makes each written next level
+    at its current level.  Backward reads the part's written current
+    levels as next levels, quantifies those, and takes the ternary
+    product with ``care`` (default: every state outside the sink set),
+    so each preimage is restricted to ``care`` as it is built and is
+    never taken over the whole state space.  A relation
     that writes nothing is a plain conjunction.  Every subimage comes out
     over the current variables, the same function, and so of the same
     size, as the player's framed product renamed back.  Returns the
@@ -266,14 +280,15 @@ def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStr
     store = ts.store
     if relations is None:
         relations = ts.relations
+    parts = strategy.parts_of(store, s, ts.current)
     if forward:
-        parts = [store.apply("and", part, -ts.sink)
-                 for part in strategy.parts_of(store, s, ts.current)]
-        care = TRUE
-    else:
-        parts = strategy.parts_of(store, s, ts.current)
+        whole = s.root if isinstance(s, CountTable) else s
         if care is None:
-            care = -ts.sink
+            care = store.apply("and", whole, -ts.sink)
+        parts = [care if part == whole else store.apply("and", part, care) for part in parts]
+        care = TRUE
+    elif care is None:
+        care = -ts.sink
     products = []  # (edge, quantified levels, read map, write map) per player
     for rel in relations:
         shift = {w: w + 1 for w in rel.written}
@@ -319,33 +334,39 @@ def layered_bfs(ts: TransitionSystem, init: int,
 
     Each new layer is the image of the previous one minus every state
     seen so far; the search stops at the fix point or when a budget runs
-    out, in which case the sequence is flagged incomplete.  Between
-    steps, :class:`_LayerSteps` keeps the layers and ``reached``, so
-    every edge made before the call keeps its meaning, and so does every
-    edge it returns.
+    out, in which case the sequence is flagged incomplete.  Each step
+    first builds the layer's non-terminal half, ``layer ∧ ¬sink``, once:
+    it is the source of the image and is kept in
+    :attr:`LayerSequence.nonterminal`.  Between steps,
+    :class:`_LayerSteps` keeps the layers, their non-terminal halves and
+    ``reached``, so every edge made before the call keeps its meaning,
+    and so does every edge it returns.
     """
     if init == FALSE:
         raise ValueError("initial state set is empty")
     store = ts.store
     steps = _LayerSteps(store, limits)
     layers = [init]
+    nonterminal = []
     reached = init
     stats = []
     made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
     while True:
-        *layers, reached = steps.start([*layers, reached])
+        roots = steps.start([*layers, *nonterminal, reached])
+        layers, nonterminal, reached = roots[:len(layers)], roots[len(layers):-1], roots[-1]
         # each layer is counted once, after any compaction, for its
-        # LayerStat and as the next source
+        # LayerStat and as the next source, and masked once
         table = precompute_counts(store, layers[-1], ts.current)
         stats.append(LayerStat("forward", len(layers) - 1, *made, table.root_count))
         if steps.exhausted():
-            return LayerSequence(layers, stats, reached, complete=False)
+            return LayerSequence(layers, nonterminal, stats, reached, complete=False)
         t0 = time.perf_counter()
-        successors, peak = _subimages(ts, table, strategy, forward=True)
+        nonterminal.append(store.apply("and", layers[-1], -ts.sink))
+        successors, peak = _subimages(ts, table, strategy, forward=True, care=nonterminal[-1])
         frontier = store.apply("and", successors, -reached)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if frontier == FALSE:
-            return LayerSequence(layers, stats, reached, complete=True)
+            return LayerSequence(layers, nonterminal, stats, reached, complete=True)
         layers.append(frontier)
         reached = store.apply("or", reached, frontier)
         made = (elapsed_ms, store.node_count(), peak)

@@ -14,8 +14,8 @@ import lexbdd.search
 from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, \
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
     parse_game, precompute_counts, solve
-from lexbdd.bdd import FALSE
-from lexbdd.games import formula_edge, parse_formula, state_edge
+from lexbdd.bdd import FALSE, TRUE
+from lexbdd.games import _compile_formula, formula_edge, parse_formula, state_edge
 from lexbdd.search import PartitionStrategy, SearchLimits
 
 from explicit import ExplicitGame, eval_formula
@@ -145,13 +145,13 @@ _WHOLE_SPEC_ERRORS = re.compile(
     r"|player [12] has no reward declarations|player 2 declared without player 1")
 
 
-def test_parser_fuzz_raises_only_spec_errors():
+def _fuzzed_game_texts(count):
+    """``count`` bundled game files, each with one to four random character edits."""
     rng = random.Random(2024)
     sources = [bundled_game_path(name).read_text(encoding="utf-8")
                for name in bundled_game_names()]
     alphabet = "abcxyz01_ =:;,()!&|->#\n" + "¬∧∨→"
-    rejected = 0
-    for _ in range(2000):
+    for _ in range(count):
         chars = list(rng.choice(sources))
         for _ in range(rng.randint(1, 4)):
             i = rng.randrange(len(chars) + 1)
@@ -159,8 +159,14 @@ def test_parser_fuzz_raises_only_spec_errors():
                 del chars[min(i, len(chars) - 1)]
             else:
                 chars.insert(i, rng.choice(alphabet))
+        yield "".join(chars)
+
+
+def test_parser_fuzz_raises_only_spec_errors():
+    rejected = 0
+    for text in _fuzzed_game_texts(2000):
         try:
-            parse_game("".join(chars))
+            parse_game(text)
         except GameSpecError as exc:
             rejected += 1
             message = str(exc)
@@ -408,6 +414,59 @@ reward 1 1: 1
     assert "nobody can move" in str(err.value)
 
 
+SEQUENCE_GAME = """
+vars: a
+init:
+player 1 action go: pre = !a; eff = a := 1
+terminal: a
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    # the terminal state lies in both classes
+    (SEQUENCE_GAME + "reward 1 100: a\nreward 1 0: 1\n",
+     "rewards 100 and 0 of player 1 overlap on reachable terminal states"),
+    # the terminal state lies in no class
+    (SEQUENCE_GAME + "reward 1 100: !a\n",
+     "reachable terminal states not covered by the reward classes of player 1"),
+    # 10 only moves on to 01, which lies in its own layer, not the next one
+    ("""
+vars: a, b
+init:
+player 1 action seta: pre = !a & !b; eff = a := 1
+player 1 action setb: pre = !a & !b; eff = b := 1
+player 1 action swap: pre = a & !b; eff = a := 0, b := 1
+player 1 action fin: pre = !a & b; eff = a := 1
+terminal: a & b
+reward 1 1: 1
+""", "layer 1: states of player 1 have no classified successor"),
+])
+def test_reward_and_successor_defects_are_diagnosed(text, message):
+    spec = parse_game(text)
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    with pytest.raises(GameSolveError) as err:
+        solve(ts, spec, layers)
+    assert str(err.value) == message
+
+
+def test_rewards_of_equal_value_form_one_class():
+    spec = parse_game("""
+vars: a, b
+init:
+player 1 action seta: pre = !a & !b; eff = a := 1
+player 1 action setb: pre = !a & !b; eff = b := 1
+terminal: a | b
+reward 1 0: a
+reward 1 0: b
+""")
+    ts = compile_game(spec)
+    sol = solve(ts, spec, layered_bfs(ts, initial_edge(ts, spec)))
+    assert sol.class_keys == ((0,),)
+    assert sol.initial_value() == (0,)
+    assert sol.value_of((1, 0)) == sol.value_of((0, 1)) == (0,)
+
+
 def test_solution_classes_partition_each_layer():
     spec, ts, layers, sol = _solved("duel")
     store = ts.store
@@ -458,6 +517,33 @@ def test_solve_uses_one_quantification_kernel(monkeypatch):
         assert any(keys for _, keys in phase)
         # a non-empty image came out of at least one product, and that is cached
         assert all(keys for image, keys in phase if image != FALSE)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_solve_never_walks_the_sink_set(strategy, monkeypatch):
+    # both halves of each layer come from the forward search, and the reward
+    # classes are built over the reachable terminal states only
+    spec = load_game(bundled_game_path("tictactoe"))
+    ts = compile_game(spec)
+    strat = PartitionStrategy.parse(strategy)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strat)
+    operands = []
+    apply, and_exists = BddStore.apply, BddStore.and_exists
+
+    def recording_apply(store, op, f, g):
+        operands.extend((f, g))
+        return apply(store, op, f, g)
+
+    def recording_and_exists(store, levels, f, g, c=TRUE, *args, **kwargs):
+        operands.extend((f, g, c))
+        return and_exists(store, levels, f, g, c, *args, **kwargs)
+
+    monkeypatch.setattr(BddStore, "apply", recording_apply)
+    monkeypatch.setattr(BddStore, "and_exists", recording_and_exists)
+    sol = solve(ts, spec, layers, strat)
+    assert sol.complete
+    assert ts.sink not in (FALSE, TRUE)
+    assert operands and ts.sink not in operands and -ts.sink not in operands
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -604,6 +690,38 @@ def test_formula_edge_matches_eval():
         for lvl, b in zip(ts.current, bits):
             full[lvl] = b
         assert ts.store.evaluate(edge, full) == eval_formula(spec.terminal, state)
+
+
+def _spec_formulas(spec):
+    yield spec.terminal
+    for action in spec.actions:
+        yield action.precondition
+        yield from (rhs for _, rhs in action.effects)
+    for rewards in spec.rewards.values():
+        yield from (formula for _, formula in rewards)
+
+
+def test_a_formula_compiled_inside_a_care_set_is_its_conjunction_with_it():
+    specs = [load_game(bundled_game_path(name)) for name in bundled_game_names()]
+    for text in _fuzzed_game_texts(2000):
+        try:
+            specs.append(parse_game(text))
+        except GameSpecError:
+            pass
+    assert len(specs) > 100
+    by_variables = {}  # one store per variable order, each distinct formula once
+    for spec in specs:
+        by_variables.setdefault(spec.variables, {}).update(dict.fromkeys(_spec_formulas(spec)))
+    for variables, formulas in by_variables.items():
+        store = BddStore(variables)
+        levels = {v: i for i, v in enumerate(variables)}
+        plain = [_compile_formula(store, levels, formula) for formula in formulas]
+        # the first game's terminal set, its complement and the last formulas' sets
+        cares = (FALSE, plain[0], -plain[0], *plain[-2:])
+        for formula, edge in zip(formulas, plain):
+            for care in cares:
+                assert _compile_formula(store, levels, formula, care) == \
+                    store.apply("and", care, edge)
 
 
 def _states(store, e, levels):

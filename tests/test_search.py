@@ -275,6 +275,30 @@ def test_forward_search_counts_each_layer_once(monkeypatch):
         [len(states) for states in ExplicitGame(spec).bfs_layers()]
 
 
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "states-lex:64", "disj-var"])
+def test_kept_nonterminal_halves_are_the_layers_outside_the_sink(strategy, monkeypatch):
+    # tictactoe's store more than doubles inside the search, so the halves
+    # are compacted with the layers between steps
+    spec = load_game(bundled_game_path("tictactoe"))
+    ts = compile_game(spec)
+    store = ts.store
+    init = initial_edge(ts, spec)
+    compactions = []
+    compact = BddStore.compact
+
+    def compacting(store, since, roots):
+        compactions.append(since)
+        return compact(store, since, roots)
+
+    monkeypatch.setattr(BddStore, "compact", compacting)
+    layers = layered_bfs(ts, init, PartitionStrategy.parse(strategy))
+    assert layers.complete and compactions
+    store.check()
+    assert layers.nonterminal == [store.apply("and", layer, -ts.sink) for layer in layers.layers]
+    partial = layered_bfs(ts, init, limits=SearchLimits(time_s=0.0))
+    assert not partial.complete and partial.nonterminal == []
+
+
 def test_empty_init_rejected(counter):
     _, ts = counter
     with pytest.raises(ValueError):

@@ -25,11 +25,12 @@ sink set of terminal states that image computation masks out, so they
 have no outgoing transitions.  Solving classifies every forward layer
 by game value, walking backward from the last layer and assigning each
 state the best reward class, in the moving player's preference order,
-whose already-classified successors it can reach.  It takes each
-layer's terminal and non-terminal halves from the forward search, never
-from the sink set, and compiles the reward formulas only over the
-reachable terminal states, where each player's rewards must be
-exclusive and exhaustive.
+whose already-classified successors it can reach.  Every move must lead
+to the next layer, so the last class a player can reach takes the
+states left with no preimage.  It takes each layer's terminal and
+non-terminal halves from the forward search, never from the sink set,
+and compiles the reward formulas only over the reachable terminal
+states, where each player's rewards must be exclusive and exhaustive.
 """
 
 from __future__ import annotations
@@ -518,9 +519,13 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     player's still-unassigned states of the layer as the care set of
     the relational product, so it never leaves them (nor meets the sink
     set) and needs no AND with them afterwards; a player's class loop
-    stops once every state is assigned.  A state left over after all
-    classes is a spec defect and raises :class:`GameSolveError` naming
-    the layer.
+    stops once every state is assigned.  A layer with a move back to
+    it or to an earlier layer (see
+    :attr:`~lexbdd.search.LayerSequence.leads_back`) raises
+    :class:`GameSolveError`.  So every successor of layer ``d`` lies in
+    the classified layer ``d + 1``, and each player's last class with
+    states there takes, with no preimage, every state the better
+    classes leave.
 
     Between layer steps, as in :func:`~lexbdd.search.layered_bfs`,
     :class:`~lexbdd.search._LayerSteps` keeps the reward classes, the
@@ -571,6 +576,11 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                 raise GameSolveError(
                     f"layer {d}: non-terminal states in the final layer "
                     "(state space is not layer-acyclic)")
+            if d in layers.leads_back:
+                raise GameSolveError(
+                    f"layer {d}: a move leads back to this or an earlier layer, "
+                    f"not to layer {d + 1}")
+            following = layer_classes[d + 1]
             movers = FALSE
             for p in prefs:
                 mine = store.apply("and", rest, can_move[p])
@@ -581,22 +591,20 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                     raise GameSolveError(
                         f"layer {d}: both players can move in the same state")
                 movers = store.apply("or", movers, mine)
-                for key in prefs[p]:
+                # every move leads to layer d + 1, whose states all have a
+                # class, so the last class met takes what the others leave
+                *better, worst = [key for key in prefs[p] if following[key] != FALSE]
+                for key in better:
                     if mine == FALSE:
                         break
-                    succ = layer_classes[d + 1].get(key, FALSE)
-                    if succ == FALSE:
-                        continue
                     # restricted to mine inside the product, so pred <= mine
-                    pred, sub_peak = _subimages(ts, succ, strategy, forward=False,
+                    pred, sub_peak = _subimages(ts, following[key], strategy, forward=False,
                                                 relations=(relations[p],), care=mine)
                     peak = max(peak, sub_peak)
                     if pred != FALSE:
                         classes[key] = store.apply("or", classes[key], pred)
                         mine = store.apply("and", mine, -pred)
-                if mine != FALSE:
-                    raise GameSolveError(
-                        f"layer {d}: states of player {p} have no classified successor")
+                classes[worst] = store.apply("or", classes[worst], mine)
             if movers != rest:
                 raise GameSolveError(
                     f"layer {d}: non-terminal states where nobody can move")

@@ -223,7 +223,8 @@ class LayerStat:
     ``max_image_nodes`` is the largest diagram, in nodes, among the
     layer's subimages, one per (part, player), and the images they
     merge into; it does not depend on the order of the actions, the
-    players or the merge.
+    players or the merge.  A backward row counts only the preimages
+    built; a player's last class takes its states without one.
     ``total_nodes`` is the store's node count at the end of the step,
     after any compaction at its start.
     """
@@ -244,9 +245,13 @@ class LayerSequence:
     the layer's image; the terminal half is ``layers[d] ∧ ¬nonterminal[d]``.
     A complete sequence holds one per layer; an incomplete one lacks it
     for the last layer, whose image the search never began.
+    ``leads_back`` lists the layers whose image met ``reached``, where
+    a move leads back to that layer or an earlier one; every move from
+    any other layer leads to the next.
     """
     layers: list[int]
     nonterminal: list[int]
+    leads_back: list[int]
     stats: list[LayerStat]
     reached: int
     complete: bool
@@ -337,7 +342,8 @@ def layered_bfs(ts: TransitionSystem, init: int,
     out, in which case the sequence is flagged incomplete.  Each step
     first builds the layer's non-terminal half, ``layer ∧ ¬sink``, once:
     it is the source of the image and is kept in
-    :attr:`LayerSequence.nonterminal`.  Between steps,
+    :attr:`LayerSequence.nonterminal`; a step whose image met
+    ``reached`` is listed in :attr:`LayerSequence.leads_back`.  Between steps,
     :class:`_LayerSteps` keeps the layers, their non-terminal halves and
     ``reached``, so every edge made before the call keeps its meaning,
     and so does every edge it returns.
@@ -348,6 +354,7 @@ def layered_bfs(ts: TransitionSystem, init: int,
     steps = _LayerSteps(store, limits)
     layers = [init]
     nonterminal = []
+    leads_back = []
     reached = init
     stats = []
     made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
@@ -359,14 +366,16 @@ def layered_bfs(ts: TransitionSystem, init: int,
         table = precompute_counts(store, layers[-1], ts.current)
         stats.append(LayerStat("forward", len(layers) - 1, *made, table.root_count))
         if steps.exhausted():
-            return LayerSequence(layers, nonterminal, stats, reached, complete=False)
+            return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=False)
         t0 = time.perf_counter()
         nonterminal.append(store.apply("and", layers[-1], -ts.sink))
         successors, peak = _subimages(ts, table, strategy, forward=True, care=nonterminal[-1])
         frontier = store.apply("and", successors, -reached)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        if frontier != successors:
+            leads_back.append(len(layers) - 1)
         if frontier == FALSE:
-            return LayerSequence(layers, nonterminal, stats, reached, complete=True)
+            return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=True)
         layers.append(frontier)
         reached = store.apply("or", reached, frontier)
         made = (elapsed_ms, store.node_count(), peak)

@@ -4,8 +4,10 @@ import gc
 import itertools
 import random
 import re
+import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,9 @@ from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, 
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
     parse_game, precompute_counts, solve
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.games import _compile_formula, formula_edge, parse_formula, state_edge
-from lexbdd.search import PartitionStrategy, SearchLimits
+from lexbdd.games import _compile_formula, _preference_order, formula_edge, parse_formula, \
+    state_edge
+from lexbdd.search import PartitionStrategy, SearchLimits, _subimages
 
 from explicit import ExplicitGame, eval_formula
 from helpers import action_relations
@@ -374,9 +377,40 @@ reward 1 1: 1
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec))
     assert layers.complete and len(layers.layers) == 2
+    assert layers.leads_back == [1]
     with pytest.raises(GameSolveError) as err:
         solve(ts, spec, layers)
     assert "final layer" in str(err.value)
+
+
+# from 1100 in layer 2, bc leads back to 0010 in layer 1, worth 100, and bd
+# on to 1101 in layer 3, worth 0: a solve that looks only at layer 3 values
+# 1100 at 0
+BACK_GAME = """
+vars: a, b, c, d
+player 1 action toa: pre = !a & !b & !c & !d; eff = a := 1
+player 1 action toc: pre = !a & !b & !c & !d; eff = c := 1
+player 1 action tob: pre = a & !b; eff = b := 1
+player 1 action bc: pre = a & b & !c & !d; eff = a := 0, b := 0, c := 1
+player 1 action bd: pre = a & b & !c & !d; eff = d := 1
+terminal: c | d
+reward 1 100: c
+reward 1 0: !c
+"""
+
+
+def test_moves_that_lead_back_are_diagnosed():
+    spec = parse_game(BACK_GAME)
+    assert ExplicitGame(spec).value((1, 1, 0, 0)) == (100,)
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    assert layers.complete
+    assert [row.states for row in layers.stats] == [1, 2, 1, 1]
+    assert layers.leads_back == [2]
+    with pytest.raises(GameSolveError) as err:
+        solve(ts, spec, layers)
+    assert str(err.value) == "layer 2: a move leads back to this or an earlier layer, " \
+                             "not to layer 3"
 
 
 def test_simultaneous_movers_are_diagnosed():
@@ -439,7 +473,7 @@ player 1 action swap: pre = a & !b; eff = a := 0, b := 1
 player 1 action fin: pre = !a & b; eff = a := 1
 terminal: a & b
 reward 1 1: 1
-""", "layer 1: states of player 1 have no classified successor"),
+""", "layer 1: a move leads back to this or an earlier layer, not to layer 2"),
 ])
 def test_reward_and_successor_defects_are_diagnosed(text, message):
     spec = parse_game(text)
@@ -485,6 +519,104 @@ def test_solve_partition_strategies_agree():
     for strategy in ("fold-states-lex:8", "states-lex:32", "disj-var"):
         other = _solved("lightsout3", strategy)[3]
         assert other.initial_value() == base.initial_value()
+
+
+def _check_classes_against_every_preimage(ts, layers, sol, strategy):
+    """Classify each player's states of every layer with every preimage ``solve`` may skip.
+
+    In the player's preference order, each class with states in the next
+    layer takes the still-unassigned states whose preimage through
+    ``_subimages`` reaches it, with those states as the care set; the
+    class ``solve`` built must hold exactly them.  The last class's
+    preimage must return every state still unassigned.  Returns the
+    number of last classes that took at least one state.
+    """
+    store = ts.store
+    assert layers.leads_back == []
+    nonempty_last = 0
+    for d in range(len(layers.layers) - 1):
+        following = sol.layer_classes[d + 1]
+        for rel in ts.relations:
+            can_move = store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)
+            start = mine = store.apply("and", layers.nonterminal[d], can_move)
+            if mine == FALSE:
+                continue
+            keys = [key for key in _preference_order(sol.class_keys, rel.player)
+                    if following[key] != FALSE]
+            for key in keys:
+                pred, _ = _subimages(ts, following[key], strategy, forward=False,
+                                     relations=(rel,), care=mine)
+                assert store.apply("and", sol.layer_classes[d][key], start) == pred
+                mine = store.apply("and", mine, -pred)
+            assert mine == FALSE  # so the last preimage returned its whole care set
+            nonempty_last += store.apply("and", sol.layer_classes[d][keys[-1]], start) != FALSE
+    return nonempty_last
+
+
+def _last_classes_taken(spec, strategy):
+    """Solve ``spec`` and check it with the reference above; see there for the result."""
+    strategy = PartitionStrategy.parse(strategy)
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    sol = solve(ts, spec, layers, strategy)
+    return _check_classes_against_every_preimage(ts, layers, sol, strategy)
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_last_class_takes_the_states_its_preimage_would(name, strategy):
+    taken = _last_classes_taken(load_game(bundled_game_path(name)), strategy)
+    # in duel every state of a mover reaches a better class than the last
+    assert taken > 0 or name == "duel"
+
+
+@pytest.mark.parametrize("name, strategy", [("connect4x3", "none"),
+                                            ("lightsout4", "fold-states-lex:8")])
+def test_each_last_class_takes_the_states_its_preimage_would_on_larger_games(name, strategy):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import gen
+    finally:
+        del sys.path[0]
+    text = gen.connect_game(4, 3, 3, 1) if name == "connect4x3" else gen.lightsout_game(4, 7, 1)
+    assert _last_classes_taken(parse_game(text, name=name), strategy) > 0
+
+
+def test_each_last_class_takes_the_states_its_preimage_would_on_fuzzed_games():
+    solved = 0
+    for i, text in enumerate(_fuzzed_game_texts(2000)):
+        try:
+            spec = parse_game(text)
+        except GameSpecError:
+            continue
+        try:
+            _last_classes_taken(spec, STRATEGIES[i % len(STRATEGIES)])
+        except GameSolveError:
+            continue
+        solved += 1
+    assert solved > 100
+
+
+def test_solve_takes_at_most_one_preimage_per_layer(monkeypatch):
+    # lightsout3 has two classes: the better one takes a preimage, the worse
+    # one what is left
+    spec = load_game(bundled_game_path("lightsout3"))
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    cares = []
+
+    def recording(*args, care, **kwargs):
+        cares.append(care)
+        return subimages(*args, care=care, **kwargs)
+
+    subimages = lexbdd.games._subimages
+    monkeypatch.setattr(lexbdd.games, "_subimages", recording)
+    sol = solve(ts, spec, layers)
+    assert sol.complete and len(sol.class_keys) == 2
+    per_layer = [sum(ts.store.apply("and", care, layer) != FALSE for care in cares)
+                 for layer in layers.layers]
+    assert sum(per_layer) == len(cares) > 0
+    assert max(per_layer) == 1
 
 
 def test_solve_uses_one_quantification_kernel(monkeypatch):

@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .games import compile_game, initial_edge, load_game, solve
+from .bdd import FALSE
+from .games import _classify_layers, compile_game, initial_edge, load_game
 from .search import LayerStat, PartitionStrategy, SearchLimits, layered_bfs
 
 CSV_COLUMNS = ("game", "strategy", "direction", "layer", "time_ms",
@@ -51,7 +52,11 @@ class RunReport:
 
 
 def run(config: RunConfig) -> RunReport:
-    """Forward BFS then retrograde solve under one strategy and budget."""
+    """Forward BFS then retrograde solve under one strategy and budget.
+
+    Runs the solver's layer loop only and builds no value sets: the
+    initial value is the class of layer 0's single state.
+    """
     spec = load_game(config.game_path)
     ts = compile_game(spec)
     init = initial_edge(ts, spec)
@@ -65,12 +70,12 @@ def run(config: RunConfig) -> RunReport:
     if layers.complete:
         remaining = config.time_budget_s - (time.perf_counter() - start)
         if remaining > 0:
-            solution = solve(ts, spec, layers, config.strategy,
-                             SearchLimits(remaining, config.node_budget))
-            rows.extend(solution.stats)
-            if solution.complete:
-                solved = True
-                initial_value = solution.initial_value()
+            _, layer_classes, stats, solved = _classify_layers(
+                ts, spec, layers, config.strategy, SearchLimits(remaining, config.node_budget))
+            rows.extend(stats)
+            if solved:
+                initial_value = next(key for key, edge in layer_classes[0].items()
+                                     if edge != FALSE)
 
     if config.dot_dir is not None:
         out = Path(config.dot_dir)

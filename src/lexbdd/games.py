@@ -29,8 +29,10 @@ whose already-classified successors it can reach.  Every move must lead
 to the next layer, so the last class a player can reach takes the
 states left with no preimage.  It takes each layer's terminal and
 non-terminal halves from the forward search, never from the sink set,
-and compiles the reward formulas only over the reachable terminal
-states, where each player's rewards must be exclusive and exhaustive.
+and gives each layer's terminal states their reward class in that
+layer's own step, where each player's rewards must be exclusive and
+exhaustive.  :func:`solve` then joins each class over the layers into
+one value set for queries; ``lexbdd solve`` builds none.
 """
 
 from __future__ import annotations
@@ -322,10 +324,15 @@ def _compile_formula(store: BddStore, levels: dict[str, int], formula, care: int
     With the default ``care`` no conjunction with it is made.
     """
     result = care
-    for conjunct in (formula[1:] if formula[0] == "and" else (formula,)):
+    for conjunct in _conjuncts(formula):
         edge = _compile_node(store, levels, conjunct)
         result = edge if result == TRUE else store.apply("and", result, edge)
     return result
+
+
+def _conjuncts(formula) -> tuple:
+    """A formula's top-level ``and`` operands, or the formula alone."""
+    return formula[1:] if formula[0] == "and" else (formula,)
 
 
 def _compile_node(store: BddStore, levels: dict[str, int], formula) -> int:
@@ -422,7 +429,9 @@ class SolutionTable:
     layers, in ``class_keys`` order.  The layers are disjoint and so are
     the classes of one layer, so the value sets are pairwise disjoint
     and a state lies in at most one of them; ``value_of`` evaluates
-    those few diagrams instead of every layer × class pair.
+    those few diagrams instead of every layer × class pair.  Only
+    :func:`solve` builds the value sets; ``lexbdd solve`` runs its layer
+    loop alone and makes no table.
     """
     ts: TransitionSystem
     spec: GameSpec
@@ -452,44 +461,49 @@ class SolutionTable:
         raise LookupError(f"state {tuple(bits)} is not classified (unreachable?)")
 
 
-def _reward_classes(ts: TransitionSystem, spec: GameSpec, every: int):
-    """Cross product of the per-player rewards over the reachable terminal states ``every``.
+def _terminal_classes(store: BddStore, spec: GameSpec, d: int, terminal: int,
+                      conjuncts: dict, class_keys) -> dict:
+    """The value classes of ``terminal``, the terminal half of layer ``d``.
 
-    Each reward formula is compiled inside ``every`` and rewards of equal
-    value are joined, so no diagram reaches outside the terminal states
-    that need a class.  Each player's rewards must partition ``every``:
-    two values that share a state, or a state with no value, raise
-    :class:`GameSolveError`.  Returns the value tuples, in declaration
-    order, and a dict of their conjunctions.
+    ``conjuncts`` maps ``(player, reward index, operand index)`` to the
+    compiled top-level ``and`` operands of each reward formula.  Each
+    reward folds its operands into ``terminal`` one at a time, as
+    :func:`_compile_formula` folds them into a care set, so no diagram
+    leaves the layer's terminal states, and rewards of equal value are
+    joined.  Each player's rewards must partition ``terminal``: two
+    values that share a state, or a state with no value, raise
+    :class:`GameSolveError` naming the layer.  Returns, for each class
+    key, the conjunction of its players' rewards; a layer with no
+    terminal state makes no node.
     """
-    store = ts.store
+    if terminal == FALSE:
+        return dict.fromkeys(class_keys, FALSE)
+    rewards: dict[tuple[int, int], int] = {}
+    for (p, i, _), operand in conjuncts.items():
+        rewards[p, i] = store.apply("and", rewards.get((p, i), terminal), operand)
     per_player = []
     for p in range(1, spec.players + 1):
         sets: dict[int, int] = {}
-        for value, formula in spec.rewards[p]:
-            edge = formula_edge(ts, spec, formula, every)
-            sets[value] = store.apply("or", sets.get(value, FALSE), edge)
+        for i, (value, _) in enumerate(spec.rewards[p]):
+            sets[value] = store.apply("or", sets.get(value, FALSE), rewards[p, i])
         for (v, e), (w, f) in itertools.combinations(sets.items(), 2):
             if store.apply("and", e, f) != FALSE:
-                raise GameSolveError(f"rewards {v} and {w} of player {p} overlap "
+                raise GameSolveError(f"layer {d}: rewards {v} and {w} of player {p} overlap "
                                      "on reachable terminal states")
         covered = FALSE
         for edge in sets.values():
             covered = store.apply("or", covered, edge)
-        if covered != every:
-            raise GameSolveError(f"reachable terminal states not covered by the reward "
-                                 f"classes of player {p}")
-        per_player.append(sets.items())
-    keys: list[tuple[int, ...]] = []
-    edges: dict[tuple[int, ...], int] = {}
-    for members in itertools.product(*per_player):
-        key = tuple(value for value, _ in members)
+        if covered != terminal:
+            raise GameSolveError(f"layer {d}: reachable terminal states not covered by the "
+                                 f"reward classes of player {p}")
+        per_player.append(sets.values())
+    classes = {}
+    for key, members in zip(class_keys, itertools.product(*per_player)):
         edge = TRUE
-        for _, member in members:
+        for member in members:
             edge = store.apply("and", edge, member)
-        keys.append(key)
-        edges[key] = edge
-    return tuple(keys), edges
+        classes[key] = edge
+    return classes
 
 
 def _preference_order(keys, player: int):
@@ -505,14 +519,16 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     Walks the forward layers backward.  Each layer's terminal half is
     the layer minus its non-terminal half, which the forward search kept
     (see :class:`~lexbdd.search.LayerSequence`), so the sink set is
-    never walked.  The reward classes are built once, over the OR of the
-    terminal halves, and a player's rewards that overlap there, or leave
-    a state there without a value, raise :class:`GameSolveError`.
-    Terminal states take the value of their reward class directly.  The
-    non-terminal states of a layer belong to the player who can move in
-    them and are classified in that player's preference order: each class
-    receives the still-unassigned states that can reach an
-    already-classified successor of that class.
+    never walked.  Each reward formula's top-level ``and`` operands are
+    compiled once, and each layer's step folds them into its own
+    terminal half (see :func:`_terminal_classes`); a player's rewards
+    that overlap there, or leave a state there without a value, raise
+    :class:`GameSolveError` naming the layer.  Terminal states take the
+    value of their reward class directly.  The non-terminal states of a
+    layer belong to the player who can move in them and are classified
+    in that player's preference order: each class receives the
+    still-unassigned states that can reach an already-classified
+    successor of that class.
     The states where a player can move are its move relation (see
     :class:`~lexbdd.search.Move`) with the next variables quantified.
     Each such preimage is taken through that relation, with the
@@ -528,25 +544,56 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     classes leave.
 
     Between layer steps, as in :func:`~lexbdd.search.layered_bfs`,
-    :class:`~lexbdd.search._LayerSteps` keeps the reward classes, the
-    movers' sets, the terminal halves and the classes of the layers
-    already solved; every edge made before the call, the layers and
-    their non-terminal halves among them, keeps its meaning.
+    :class:`~lexbdd.search._LayerSteps` keeps the reward operands, the
+    movers' sets and the classes of the layers already solved; every
+    edge made before the call, the layers and their non-terminal halves
+    among them, keeps its meaning.
     After the last layer, each class is joined over the layers into one
     value set (see :class:`SolutionTable`), so that queries create no
     nodes, and the caches are emptied, so a solved store holds no cache
-    entry.
+    entry.  ``lexbdd solve`` runs only the layer loop,
+    :func:`_classify_layers`, and builds no value set.
+    """
+    class_keys, layer_classes, stats, complete = _classify_layers(ts, spec, layers,
+                                                                  strategy, limits)
+    value_sets = _value_sets(ts.store, class_keys, layer_classes)
+    ts.store.clear_caches()
+    return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,
+                         layer_classes=layer_classes, value_sets=value_sets,
+                         stats=stats, complete=complete)
+
+
+def _value_sets(store: BddStore, class_keys, layer_classes: list[dict]):
+    """Each class key with a classified state and its union over the layers."""
+    value_sets = []
+    for key in class_keys:
+        union = FALSE
+        for classes in layer_classes:
+            union = store.apply("or", union, classes.get(key, FALSE))
+        if union != FALSE:
+            value_sets.append((key, union))
+    return tuple(value_sets)
+
+
+def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
+                     strategy: PartitionStrategy, limits: SearchLimits | None):
+    """The layer loop of :func:`solve`, which builds no value set.
+
+    Returns the class keys, each layer's classes (a dict per layer; a
+    layer a budget left unsolved has an empty one), the backward
+    :class:`~lexbdd.search.LayerStat` rows in layer order, and whether
+    every layer was classified.  The caches keep the last step's entries.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
     store = ts.store
     steps = _LayerSteps(store, limits)
-    terminal = {d: store.apply("and", layer, -rest)
-                for d, (layer, rest) in enumerate(zip(layers.layers, layers.nonterminal))}
-    every = FALSE
-    for edge in terminal.values():
-        every = store.apply("or", every, edge)
-    class_keys, class_edges = _reward_classes(ts, spec, every)
+    players = range(1, spec.players + 1)
+    class_keys = tuple(itertools.product(
+        *(dict.fromkeys(value for value, _ in spec.rewards[p]) for p in players)))
+    conjuncts = {(p, i, j): formula_edge(ts, spec, operand)
+                 for p in players for i, (_, formula) in enumerate(spec.rewards[p])
+                 for j, operand in enumerate(_conjuncts(formula))}
     relations = {rel.player: rel for rel in ts.relations}
     # where a player can move: its relation with the next levels quantified
     can_move = {p: store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)
@@ -559,7 +606,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     complete = True
 
     for d in range(last, -1, -1):
-        held = [class_edges, can_move, terminal, *layer_classes[d + 1:]]
+        held = [conjuncts, can_move, *layer_classes[d + 1:]]
         edges = iter(steps.start([e for table in held for e in table.values()]))
         for table in held:
             table.update({key: next(edges) for key in table})
@@ -568,9 +615,9 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
             break
         t0 = time.perf_counter()
         peak = 0
-        classes = {key: store.apply("and", terminal[d], class_edges[key])
-                   for key in class_keys}
         rest = layers.nonterminal[d]
+        classes = _terminal_classes(store, spec, d, store.apply("and", layers.layers[d], -rest),
+                                    conjuncts, class_keys)
         if rest != FALSE:
             if d == last:
                 raise GameSolveError(
@@ -614,14 +661,4 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
                                store.node_count(), peak, layers.stats[d].states))
 
     stats.sort(key=lambda row: row.index)
-    value_sets = []
-    for key in class_keys:
-        union = FALSE
-        for classes in layer_classes:
-            union = store.apply("or", union, classes.get(key, FALSE))
-        if union != FALSE:
-            value_sets.append((key, union))
-    store.clear_caches()
-    return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,
-                         layer_classes=layer_classes, value_sets=tuple(value_sets),
-                         stats=stats, complete=complete)
+    return class_keys, layer_classes, stats, complete

@@ -37,6 +37,7 @@ class ExplicitGame:
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self._value_memo = {}
+        self._on_path = set()  # the states whose value is being computed
 
     def initial(self):
         return self.spec.init_bits()
@@ -94,10 +95,16 @@ class ExplicitGame:
 
     def value(self, state):
         """Backward-induction value: the mover picks the best reward vector,
-        own component first, the opponent's as tie-break."""
+        own component first, the opponent's as tie-break.
+
+        A state met again on the path that is computing its value has no
+        value: that raises ``ValueError`` naming the state.
+        """
         memo = self._value_memo
         if state in memo:
             return memo[state]
+        if state in self._on_path:
+            raise ValueError(f"state {state} repeats on its own path: the game has a cycle")
         moves = self.moves(state)
         if not moves:
             result = self.reward_vector(state)
@@ -106,7 +113,11 @@ class ExplicitGame:
             assert len(movers) == 1, f"both players can move in {state}"
             p = movers.pop()
             own = p - 1
-            candidates = [self.value(succ) for _, succ in moves]
+            self._on_path.add(state)
+            try:
+                candidates = [self.value(succ) for _, succ in moves]
+            finally:
+                self._on_path.discard(state)
             if self.spec.players == 1:
                 result = max(candidates, key=lambda v: v[0])
             else:

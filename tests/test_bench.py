@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from lexbdd import RunConfig, RunReport, bundled_game_path, compare, load_game, read_csv, \
-    run, write_csv
+import lexbdd.games
+import lexbdd.search
+from lexbdd import RunConfig, RunReport, bundled_game_names, bundled_game_path, compare, \
+    compile_game, initial_edge, layered_bfs, load_game, read_csv, run, solve, write_csv
 from lexbdd.bench import CSV_COLUMNS, format_compare
 from lexbdd.cli import main
 from lexbdd.search import PartitionStrategy
@@ -127,6 +129,40 @@ def test_format_compare_table():
     lines = text.strip().splitlines()
     assert lines[0] == "game,strategy,layers_ratio,time_ratio,max_nodes_ratio"
     assert lines[1].startswith("counter3,none,1.00,1.00,1.00")
+
+
+def test_runs_build_no_value_sets(monkeypatch):
+    # a run reads the initial value from layer 0's classes, so it solves
+    # every game as solve does with the value-set builder gone
+    expected = {}
+    for name in bundled_game_names():
+        spec = load_game(bundled_game_path(name))
+        for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+            strategy = PartitionStrategy.parse(text)
+            ts = compile_game(spec)
+            layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+            expected[name, text] = solve(ts, spec, layers, strategy).initial_value()
+
+    def no_value_sets(*args):
+        raise AssertionError("value sets built")
+
+    monkeypatch.setattr(lexbdd.games, "_value_sets", no_value_sets)
+    for (name, text), value in expected.items():
+        report = _run(name, text)
+        assert report.solved and report.initial_value == value, (name, text)
+
+    class OneBackwardStep(lexbdd.search._LayerSteps):
+        # the budget runs out after the first backward step
+        checks = 0
+
+        def exhausted(self):
+            self.checks += 1
+            return self.checks > 1
+
+    monkeypatch.setattr(lexbdd.games, "_LayerSteps", OneBackwardStep)
+    report = _run("tictactoe")
+    assert [r.direction for r in report.rows].count("backward") == 1
+    assert not report.solved and report.initial_value is None
 
 
 def test_dot_dump(tmp_path):

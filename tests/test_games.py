@@ -459,10 +459,10 @@ terminal: a
 @pytest.mark.parametrize("text, message", [
     # the terminal state lies in both classes
     (SEQUENCE_GAME + "reward 1 100: a\nreward 1 0: 1\n",
-     "rewards 100 and 0 of player 1 overlap on reachable terminal states"),
+     "layer 1: rewards 100 and 0 of player 1 overlap on reachable terminal states"),
     # the terminal state lies in no class
     (SEQUENCE_GAME + "reward 1 100: !a\n",
-     "reachable terminal states not covered by the reward classes of player 1"),
+     "layer 1: reachable terminal states not covered by the reward classes of player 1"),
     # 10 only moves on to 01, which lies in its own layer, not the next one
     ("""
 vars: a, b
@@ -553,6 +553,17 @@ def _check_classes_against_every_preimage(ts, layers, sol, strategy):
     return nonempty_last
 
 
+def _generated_spec(name):
+    """The benchmark's generated connect4x3 or lightsout4, seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import gen
+    finally:
+        del sys.path[0]
+    text = gen.connect_game(4, 3, 3, 1) if name == "connect4x3" else gen.lightsout_game(4, 7, 1)
+    return parse_game(text, name=name)
+
+
 def _last_classes_taken(spec, strategy):
     """Solve ``spec`` and check it with the reference above; see there for the result."""
     strategy = PartitionStrategy.parse(strategy)
@@ -573,13 +584,89 @@ def test_each_last_class_takes_the_states_its_preimage_would(name, strategy):
 @pytest.mark.parametrize("name, strategy", [("connect4x3", "none"),
                                             ("lightsout4", "fold-states-lex:8")])
 def test_each_last_class_takes_the_states_its_preimage_would_on_larger_games(name, strategy):
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import gen
-    finally:
-        del sys.path[0]
-    text = gen.connect_game(4, 3, 3, 1) if name == "connect4x3" else gen.lightsout_game(4, 7, 1)
-    assert _last_classes_taken(parse_game(text, name=name), strategy) > 0
+    assert _last_classes_taken(_generated_spec(name), strategy) > 0
+
+
+def _check_terminal_classes(ts, spec, layers, sol):
+    """Each layer's terminal classes against a reference built over the whole space.
+
+    Each reward formula is compiled with no care set and ANDed with the
+    layer's terminal half; rewards of equal value are joined, and each
+    class is the conjunction of one such set per player, the keys in
+    the order of each player's values as first declared.
+    """
+    store = ts.store
+    rewards = {p: [(value, formula_edge(ts, spec, formula)) for value, formula in entries]
+               for p, entries in spec.rewards.items()}
+    for d, (layer, rest) in enumerate(zip(layers.layers, layers.nonterminal)):
+        terminal = store.apply("and", layer, -rest)
+        per_player = []
+        for p in range(1, spec.players + 1):
+            sets = {}
+            for value, edge in rewards[p]:
+                sets[value] = store.apply("or", sets.get(value, FALSE),
+                                          store.apply("and", edge, terminal))
+            per_player.append(sets.items())
+        expected = {}
+        for members in itertools.product(*per_player):
+            edge = terminal
+            for _, member in members:
+                edge = store.apply("and", edge, member)
+            expected[tuple(value for value, _ in members)] = edge
+        assert sol.class_keys == tuple(expected)
+        assert {key: store.apply("and", edge, terminal)
+                for key, edge in sol.layer_classes[d].items()} == expected
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_terminal_classes_match_the_whole_space_reference(name, strategy):
+    spec, ts, layers, sol = _solved(name, strategy)
+    _check_terminal_classes(ts, spec, layers, sol)
+
+
+@pytest.mark.parametrize("name, strategy", [("connect4x3", "none"),
+                                            ("lightsout4", "fold-states-lex:8")])
+def test_terminal_classes_match_the_whole_space_reference_on_larger_games(name, strategy):
+    spec = _generated_spec(name)
+    strategy = PartitionStrategy.parse(strategy)
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    _check_terminal_classes(ts, spec, layers, solve(ts, spec, layers, strategy))
+
+
+def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
+    solved = 0
+    for i, text in enumerate(_fuzzed_game_texts(2000)):
+        try:
+            spec = parse_game(text)
+        except GameSpecError:
+            continue
+        strategy = PartitionStrategy.parse(STRATEGIES[i % len(STRATEGIES)])
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        try:
+            sol = solve(ts, spec, layers, strategy)
+        except GameSolveError:
+            continue
+        _check_terminal_classes(ts, spec, layers, sol)
+        solved += 1
+    assert solved > 100
+
+
+@pytest.mark.parametrize("index", [1043, 1839])
+def test_fuzzed_games_with_a_cycle_have_no_value_in_either_solver(index):
+    spec = parse_game(next(itertools.islice(_fuzzed_game_texts(2000), index, None)))
+    game = ExplicitGame(spec)
+    with pytest.raises(ValueError, match=r"^state \([01, ]+\) repeats on its own path: "
+                                         r"the game has a cycle$"):
+        game.value(game.initial())
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    assert layers.complete and layers.leads_back
+    with pytest.raises(GameSolveError, match=r"^layer \d+: a move leads back to this or an "
+                                             r"earlier layer, not to layer \d+$"):
+        solve(ts, spec, layers)
 
 
 def test_each_last_class_takes_the_states_its_preimage_would_on_fuzzed_games():

@@ -31,8 +31,10 @@ states left with no preimage.  It takes each layer's terminal and
 non-terminal halves from the forward search, never from the sink set,
 and gives each layer's terminal states their reward class in that
 layer's own step, where each player's rewards must be exclusive and
-exhaustive.  :func:`solve` then joins each class over the layers into
-one value set for queries; ``lexbdd solve`` builds none.
+exhaustive.  Each distinct top-level ``and`` operand of the rewards is
+compiled once; a class is the AND of each player's value set for the
+class's own value.  :func:`solve` then joins each class over the layers
+into one value set for queries; ``lexbdd solve`` builds none.
 """
 
 from __future__ import annotations
@@ -315,46 +317,29 @@ def bundled_game_names() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # compilation to a transition system
 
-def _compile_formula(store: BddStore, levels: dict[str, int], formula, care: int = TRUE) -> int:
-    """Compile a parsed formula inside ``care``, reading variable ``v`` at ``levels[v]``.
+def _compile_formula(store: BddStore, levels: dict[str, int], formula) -> int:
+    """Compile a parsed formula, reading variable ``v`` at ``levels[v]``.
 
-    Returns ``care ∧ formula``.  A top-level ``and`` chain folds its
-    operands into ``care`` one at a time, so no intermediate result
-    leaves ``care``; any other formula is conjoined with ``care`` once.
-    With the default ``care`` no conjunction with it is made.
+    ``and`` and ``or`` fold left to right, ``imp`` from the right.
     """
-    result = care
-    for conjunct in _conjuncts(formula):
-        edge = _compile_node(store, levels, conjunct)
-        result = edge if result == TRUE else store.apply("and", result, edge)
-    return result
-
-
-def _conjuncts(formula) -> tuple:
-    """A formula's top-level ``and`` operands, or the formula alone."""
-    return formula[1:] if formula[0] == "and" else (formula,)
-
-
-def _compile_node(store: BddStore, levels: dict[str, int], formula) -> int:
-    """``and`` and ``or`` fold left to right, ``imp`` from the right."""
     op = formula[0]
     if op == "const":
         return TRUE if formula[1] else FALSE
     if op == "var":
         return store.var(levels[formula[1]])
     if op == "not":
-        return -_compile_node(store, levels, formula[1])
+        return -_compile_formula(store, levels, formula[1])
     if op == "imp":
-        premises = [_compile_node(store, levels, f) for f in formula[1:-1]]
-        result = _compile_node(store, levels, formula[-1])
+        premises = [_compile_formula(store, levels, f) for f in formula[1:-1]]
+        result = _compile_formula(store, levels, formula[-1])
         for a in reversed(premises):
             result = store.apply("or", -a, result)
         return result
     if op not in ("and", "or"):
         raise ValueError(f"bad formula node {formula!r}")
-    result = _compile_node(store, levels, formula[1])
+    result = _compile_formula(store, levels, formula[1])
     for operand in formula[2:]:
-        result = store.apply(op, result, _compile_node(store, levels, operand))
+        result = store.apply(op, result, _compile_formula(store, levels, operand))
     return result
 
 
@@ -393,12 +378,9 @@ def compile_game(spec: GameSpec) -> TransitionSystem:
                             sink=_compile_formula(store, cur, spec.terminal))
 
 
-def formula_edge(ts: TransitionSystem, spec: GameSpec, formula, care: int = TRUE) -> int:
-    """Compile a formula over the game's variables to a current-state BDD.
-
-    Returns the formula's states inside ``care`` (see :func:`_compile_formula`).
-    """
-    return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula, care)
+def formula_edge(ts: TransitionSystem, spec: GameSpec, formula) -> int:
+    """Compile a formula over the game's variables to a current-state BDD."""
+    return _compile_formula(ts.store, dict(zip(spec.variables, ts.current)), formula)
 
 
 def _check_state_bits(ts: TransitionSystem, bits: Sequence) -> None:
@@ -461,31 +443,35 @@ class SolutionTable:
         raise LookupError(f"state {tuple(bits)} is not classified (unreachable?)")
 
 
+def _conjuncts(formula) -> tuple:
+    """A formula's top-level ``and`` operands, or the formula alone."""
+    return formula[1:] if formula[0] == "and" else (formula,)
+
+
 def _terminal_classes(store: BddStore, spec: GameSpec, d: int, terminal: int,
                       conjuncts: dict, class_keys) -> dict:
     """The value classes of ``terminal``, the terminal half of layer ``d``.
 
-    ``conjuncts`` maps ``(player, reward index, operand index)`` to the
-    compiled top-level ``and`` operands of each reward formula.  Each
-    reward folds its operands into ``terminal`` one at a time, as
-    :func:`_compile_formula` folds them into a care set, so no diagram
-    leaves the layer's terminal states, and rewards of equal value are
-    joined.  Each player's rewards must partition ``terminal``: two
-    values that share a state, or a state with no value, raise
-    :class:`GameSolveError` naming the layer.  Returns, for each class
-    key, the conjunction of its players' rewards; a layer with no
-    terminal state makes no node.
+    ``conjuncts`` maps each distinct top-level ``and`` operand of the
+    reward formulas to its edge.  Each reward folds its operands into
+    ``terminal`` one at a time, so no diagram leaves the layer's
+    terminal states, and each player's rewards of equal value are joined
+    into one value set.  Each player's rewards must partition
+    ``terminal``: two values that share a state, or a state with no
+    value, raise :class:`GameSolveError` naming the layer.  Returns, for
+    each class key, the AND of each player's value set for the key's
+    value; a layer with no terminal state makes no node.
     """
     if terminal == FALSE:
         return dict.fromkeys(class_keys, FALSE)
-    rewards: dict[tuple[int, int], int] = {}
-    for (p, i, _), operand in conjuncts.items():
-        rewards[p, i] = store.apply("and", rewards.get((p, i), terminal), operand)
     per_player = []
     for p in range(1, spec.players + 1):
         sets: dict[int, int] = {}
-        for i, (value, _) in enumerate(spec.rewards[p]):
-            sets[value] = store.apply("or", sets.get(value, FALSE), rewards[p, i])
+        for value, formula in spec.rewards[p]:
+            edge = terminal
+            for operand in _conjuncts(formula):
+                edge = store.apply("and", edge, conjuncts[operand])
+            sets[value] = store.apply("or", sets.get(value, FALSE), edge)
         for (v, e), (w, f) in itertools.combinations(sets.items(), 2):
             if store.apply("and", e, f) != FALSE:
                 raise GameSolveError(f"layer {d}: rewards {v} and {w} of player {p} overlap "
@@ -496,12 +482,12 @@ def _terminal_classes(store: BddStore, spec: GameSpec, d: int, terminal: int,
         if covered != terminal:
             raise GameSolveError(f"layer {d}: reachable terminal states not covered by the "
                                  f"reward classes of player {p}")
-        per_player.append(sets.values())
+        per_player.append(sets)
     classes = {}
-    for key, members in zip(class_keys, itertools.product(*per_player)):
+    for key in class_keys:
         edge = TRUE
-        for member in members:
-            edge = store.apply("and", edge, member)
+        for sets, value in zip(per_player, key):
+            edge = store.apply("and", edge, sets[value])
         classes[key] = edge
     return classes
 
@@ -519,16 +505,16 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     Walks the forward layers backward.  Each layer's terminal half is
     the layer minus its non-terminal half, which the forward search kept
     (see :class:`~lexbdd.search.LayerSequence`), so the sink set is
-    never walked.  Each reward formula's top-level ``and`` operands are
-    compiled once, and each layer's step folds them into its own
-    terminal half (see :func:`_terminal_classes`); a player's rewards
-    that overlap there, or leave a state there without a value, raise
-    :class:`GameSolveError` naming the layer.  Terminal states take the
-    value of their reward class directly.  The non-terminal states of a
-    layer belong to the player who can move in them and are classified
-    in that player's preference order: each class receives the
-    still-unassigned states that can reach an already-classified
-    successor of that class.
+    never walked.  Each distinct top-level ``and`` operand of the reward
+    formulas is compiled once, and each layer's step folds the rewards'
+    operands into its own terminal half (see :func:`_terminal_classes`);
+    a player's rewards that overlap there, or leave a state there
+    without a value, raise :class:`GameSolveError` naming the layer.
+    Terminal states take the value of their reward class directly.  The
+    non-terminal states of a layer belong to the player who can move in
+    them and are classified in that player's preference order: each
+    class receives the still-unassigned states that can reach an
+    already-classified successor of that class.
     The states where a player can move are its move relation (see
     :class:`~lexbdd.search.Move`) with the next variables quantified.
     Each such preimage is taken through that relation, with the
@@ -582,7 +568,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     Returns the class keys, each layer's classes (a dict per layer; a
     layer a budget left unsolved has an empty one), the backward
     :class:`~lexbdd.search.LayerStat` rows in layer order, and whether
-    every layer was classified.  The caches keep the last step's entries.
+    every layer was classified.  The compiled reward operands are keyed
+    by their formulas.  The caches keep the last step's entries.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
@@ -591,9 +578,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     players = range(1, spec.players + 1)
     class_keys = tuple(itertools.product(
         *(dict.fromkeys(value for value, _ in spec.rewards[p]) for p in players)))
-    conjuncts = {(p, i, j): formula_edge(ts, spec, operand)
-                 for p in players for i, (_, formula) in enumerate(spec.rewards[p])
-                 for j, operand in enumerate(_conjuncts(formula))}
+    operands = (op for p in players for _, f in spec.rewards[p] for op in _conjuncts(f))
+    conjuncts = {op: formula_edge(ts, spec, op) for op in dict.fromkeys(operands)}
     relations = {rel.player: rel for rel in ts.relations}
     # where a player can move: its relation with the next levels quantified
     can_move = {p: store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)

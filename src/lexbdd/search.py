@@ -59,9 +59,9 @@ class TransitionSystem:
     """The transition relation, one :class:`Move` per player, plus a sink set.
 
     Variable ``i`` sits at level ``2i`` (``current``) and its next copy
-    at ``2i + 1`` (``nxt``), so the store holds an even number of
-    levels.  ``relations`` partition the transition relation by player;
-    an image ORs their products.  ``sink`` holds the current states
+    at ``2i + 1``, so the store holds an even number of levels.
+    ``relations`` partition the transition relation by player; an image
+    ORs their products.  ``sink`` holds the current states
     that have no successors whatever the relations say; ``image`` and
     ``preimage`` mask it out.  A relation whose ``written`` is not a
     sorted tuple of distinct current levels, or whose edge reads the
@@ -71,7 +71,6 @@ class TransitionSystem:
     relations: tuple[Move, ...]
     sink: int = FALSE
     current: tuple[int, ...] = field(init=False)
-    nxt: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         n = self.store.n
@@ -91,7 +90,6 @@ class TransitionSystem:
                 raise ValueError(f"relation of player {rel.player} reads next levels "
                                  f"{stray} of variables it does not write")
         object.__setattr__(self, "current", current)
-        object.__setattr__(self, "nxt", tuple(range(1, n, 2)))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,8 @@ from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, 
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
     parse_game, precompute_counts, solve
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.games import _compile_formula, _preference_order, formula_edge, parse_formula, \
-    state_edge
-from lexbdd.search import PartitionStrategy, SearchLimits, _subimages
+from lexbdd.games import _preference_order, formula_edge, parse_formula, state_edge
+from lexbdd.search import PartitionStrategy, SearchLimits, TransitionSystem, _subimages
 
 from explicit import ExplicitGame, eval_formula
 from helpers import action_relations
@@ -230,7 +229,8 @@ reward 1 1: 1
 """)
     ts = compile_game(spec)
     store = ts.store
-    cur, nxt = ts.current[0], ts.nxt[0]
+    cur = ts.current[0]
+    nxt = cur + 1
     expected = store.ite(store.var(nxt), -store.var(cur), store.var(cur))
     assert ts.relations[0].edge == expected
 
@@ -654,6 +654,65 @@ def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
     assert solved > 100
 
 
+@pytest.mark.parametrize("name", ["tictactoe", "duel"])
+def test_a_solve_compiles_each_distinct_reward_operand_once(name, monkeypatch):
+    spec = load_game(bundled_game_path(name))
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec))
+    operands = [operand for rewards in spec.rewards.values() for _, formula in rewards
+                for operand in lexbdd.games._conjuncts(formula)]
+    assert len(set(operands)) < len(operands)  # some operand appears in two rewards
+    compiled = []
+
+    def recording(ts, spec, formula):
+        compiled.append(formula)
+        return formula_edge(ts, spec, formula)
+
+    monkeypatch.setattr(lexbdd.games, "formula_edge", recording)
+    sol = solve(ts, spec, layers)
+    assert len(compiled) == len(set(compiled))
+    assert set(compiled) == set(operands)
+    game = ExplicitGame(spec)
+    assert sol.initial_value() == game.value(game.initial())
+
+
+_REPEATED_VALUES_GAME = """
+vars: o, x, y, z, d
+player 1 action px: pre = !o; eff = x := 1, o := 1
+player 1 action py: pre = !o; eff = y := 1, o := 1
+player 2 action qz: pre = o & !d; eff = z := 1, d := 1
+player 2 action qn: pre = o & !d; eff = d := 1
+terminal: d
+reward 1 0: x & z
+reward 1 100: (x & !z) | (y & z)
+reward 1 0: y & !z
+reward 2 100: x & z
+reward 2 0: x & !z
+reward 2 100: y
+"""
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_classes_are_built_by_value_when_a_value_repeats(strategy):
+    # each player declares a value twice, apart, and the players list
+    # their values in different orders
+    spec = parse_game(_REPEATED_VALUES_GAME)
+    ts = compile_game(spec)
+    strat = PartitionStrategy.parse(strategy)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strat)
+    sol = solve(ts, spec, layers, strat)
+    ts.store.check()
+    assert sol.class_keys == ((0, 100), (0, 0), (100, 100), (100, 0))
+    game = ExplicitGame(spec)
+    assert game.value(game.initial()) == (100, 100)
+    seen = set()
+    for layer_states in game.bfs_layers():
+        for bits in layer_states:
+            assert sol.value_of(bits) == game.value(bits), bits
+            seen.add(game.value(bits))
+    assert seen == {(0, 100), (100, 0), (100, 100)}
+
+
 @pytest.mark.parametrize("index", [1043, 1839])
 def test_fuzzed_games_with_a_cycle_have_no_value_in_either_solver(index):
     spec = parse_game(next(itertools.islice(_fuzzed_game_texts(2000), index, None)))
@@ -899,18 +958,6 @@ def test_solved_store_dies_with_its_last_reference(strategy):
             gc.enable()
 
 
-def test_formula_edge_matches_eval():
-    spec = load_game(bundled_game_path("duel"))
-    ts = compile_game(spec)
-    edge = formula_edge(ts, spec, spec.terminal)
-    for bits in ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)):
-        state = dict(zip(spec.variables, bits))
-        full = [0] * ts.store.n
-        for lvl, b in zip(ts.current, bits):
-            full[lvl] = b
-        assert ts.store.evaluate(edge, full) == eval_formula(spec.terminal, state)
-
-
 def _spec_formulas(spec):
     yield spec.terminal
     for action in spec.actions:
@@ -920,7 +967,7 @@ def _spec_formulas(spec):
         yield from (formula for _, formula in rewards)
 
 
-def test_a_formula_compiled_inside_a_care_set_is_its_conjunction_with_it():
+def test_formula_edge_matches_eval():
     specs = [load_game(bundled_game_path(name)) for name in bundled_game_names()]
     for text in _fuzzed_game_texts(2000):
         try:
@@ -930,17 +977,20 @@ def test_a_formula_compiled_inside_a_care_set_is_its_conjunction_with_it():
     assert len(specs) > 100
     by_variables = {}  # one store per variable order, each distinct formula once
     for spec in specs:
-        by_variables.setdefault(spec.variables, {}).update(dict.fromkeys(_spec_formulas(spec)))
-    for variables, formulas in by_variables.items():
-        store = BddStore(variables)
-        levels = {v: i for i, v in enumerate(variables)}
-        plain = [_compile_formula(store, levels, formula) for formula in formulas]
-        # the first game's terminal set, its complement and the last formulas' sets
-        cares = (FALSE, plain[0], -plain[0], *plain[-2:])
-        for formula, edge in zip(formulas, plain):
-            for care in cares:
-                assert _compile_formula(store, levels, formula, care) == \
-                    store.apply("and", care, edge)
+        by_variables.setdefault(spec.variables, (spec, {}))[1].update(
+            dict.fromkeys(_spec_formulas(spec)))
+    assert sum(len(formulas) for _, formulas in by_variables.values()) > 90
+    rng = random.Random(25)
+    for variables, (spec, formulas) in by_variables.items():
+        ts = TransitionSystem(BddStore(2 * len(variables)), ())
+        for formula in formulas:
+            edge = formula_edge(ts, spec, formula)
+            for _ in range(32):
+                bits = [rng.randrange(2) for _ in variables]
+                full = [0] * ts.store.n
+                full[::2] = bits
+                assert ts.store.evaluate(edge, full) == \
+                    eval_formula(formula, dict(zip(variables, bits))), (formula, bits)
 
 
 def _states(store, e, levels):

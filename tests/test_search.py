@@ -92,12 +92,13 @@ def _framed(ts, edge, written):
 def _framed_product(ts, edge, part, forward):
     """The plain product of a framed ``edge`` with ``part``, renamed to the current variables."""
     store = ts.store
+    nxt = [lvl + 1 for lvl in ts.current]
     if forward:
         source = store.apply("and", part, -ts.sink)
         sub = store.and_exists(set(ts.current), edge, source)
-        return store.rename(sub, dict(zip(ts.nxt, ts.current)))
-    source = store.rename(part, dict(zip(ts.current, ts.nxt)))
-    return store.apply("and", store.and_exists(set(ts.nxt), edge, source), -ts.sink)
+        return store.rename(sub, dict(zip(nxt, ts.current)))
+    source = store.rename(part, dict(zip(ts.current, nxt)))
+    return store.apply("and", store.and_exists(set(nxt), edge, source), -ts.sink)
 
 
 def _subimages_reference(ts, spec, parts, forward):
@@ -527,7 +528,8 @@ def test_sink_states_have_no_successors(counter):
 def test_transition_system_derives_the_interleaved_layout():
     store = BddStore(6)
     ts = TransitionSystem(store, ())
-    assert (ts.current, ts.nxt, ts.relations) == ((0, 2, 4), (1, 3, 5), ())
+    assert (ts.current, ts.relations) == ((0, 2, 4), ())
+    assert sorted(ts.current + tuple(lvl + 1 for lvl in ts.current)) == list(range(store.n))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ts.current = (0,)
 

@@ -80,9 +80,10 @@ def run(config: RunConfig) -> RunReport:
     if config.dot_dir is not None:
         out = Path(config.dot_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for d, edge in enumerate(layers.layers):
+        for d, windows in enumerate(layers.layers):
             path = out / f"{spec.name}_layer_{d:03d}.dot"
-            path.write_text(ts.store.to_dot({f"layer_{d}": edge}), encoding="utf-8")
+            roots = {f"layer_{d}_window_{j}": w for j, w in enumerate(windows)}
+            path.write_text(ts.store.to_dot(roots), encoding="utf-8")
 
     report = RunReport(game=spec.name, strategy=str(config.strategy),
                        rows=rows, solved=solved, initial_value=initial_value)

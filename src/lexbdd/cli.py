@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="N", help="store size budget in nodes")
     solve_p.add_argument("--csv", metavar="PATH", help="write the per-layer report here")
     solve_p.add_argument("--dot-dir", metavar="PATH",
-                         help="dump every forward layer as a DOT file into this directory")
+                         help="dump every forward layer, one root per window, as a DOT file "
+                              "into this directory")
 
     cmp_p = sub.add_parser("compare", help="normalize reports against a baseline report")
     cmp_p.add_argument("csvs", nargs="+", help="report CSVs to compare")

@@ -29,7 +29,9 @@ class CountTable:
 
     ``counts`` maps signed edges visited by the precompute pass to the
     number of satisfying assignments of the sub-function over the
-    variable positions strictly below the edge's own position.
+    variable positions strictly below the edge's own position.  Tables
+    made by one :func:`count_windows` pass share it, so it may also
+    hold edges that only another root reaches.
     ``root_count`` is the total over the full universe and ``pos`` the
     position map built by :func:`universe`.  Instances are immutable
     after construction and safe to share across threads.
@@ -78,27 +80,39 @@ def precompute_counts(store: BddStore, f: int,
     the depth of the variable order is not limited.  Raises
     ``ValueError`` when ``f`` depends on a level outside the universe.
     """
+    return count_windows(store, (f,), levels)[0]
+
+
+def count_windows(store: BddStore, roots: Sequence[int],
+                  levels: Sequence[int] | None = None) -> list[CountTable]:
+    """:func:`precompute_counts` of each root, in one pass over their edges.
+
+    The lex windows of one set share the sub-functions below their cuts;
+    each such edge is counted once, and the tables share one ``counts``
+    dict.
+    """
     levels, pos = universe(store, levels)
     nodes = store._nodes
     level = store._level
-    # collect the signed edges reached from the root, then count them in
+    # collect the signed edges reached from the roots, then count them in
     # slot order: children always sit in lower slots than their parents
     reached: set[int] = set()
-    stack = [f]
-    while stack:
-        e = stack.pop()
-        if e in reached or e == TRUE or e == FALSE:
-            continue
-        lvl, t, el = nodes[abs(e)]
-        if lvl not in pos:
-            raise ValueError(
-                f"support of root {f} reaches level {lvl}, "
-                f"outside the counting universe {list(levels)}")
-        reached.add(e)
-        if e < 0:
-            t, el = -t, -el
-        stack.append(t)
-        stack.append(el)
+    for f in roots:
+        stack = [f]
+        while stack:
+            e = stack.pop()
+            if e in reached or e == TRUE or e == FALSE:
+                continue
+            lvl, t, el = nodes[abs(e)]
+            if lvl not in pos:
+                raise ValueError(
+                    f"support of root {f} reaches level {lvl}, "
+                    f"outside the counting universe {list(levels)}")
+            reached.add(e)
+            if e < 0:
+                t, el = -t, -el
+            stack.append(t)
+            stack.append(el)
     counts: dict[int, int] = {TRUE: 1, FALSE: 0}
     for e in sorted(reached, key=abs):
         lvl, t, el = nodes[abs(e)]
@@ -107,10 +121,11 @@ def precompute_counts(store: BddStore, f: int,
         i = pos[lvl]
         counts[e] = (counts[t] << (pos[level[abs(t)]] - i - 1)) \
             + (counts[el] << (pos[level[abs(el)]] - i - 1))
-    root_count = counts[f] << pos[level[abs(f)]]
-    # the sink seeds are exempt: for the constant-false root the 1-sink
-    # entry (1) legitimately exceeds the root count (0)
-    assert all(c <= root_count for e, c in counts.items() if abs(e) != 1), \
+    root_counts = [counts[f] << pos[level[abs(f)]] for f in roots]
+    # no count exceeds the count of a root that reaches it; the sink seeds
+    # are exempt: for the constant-false root the 1-sink entry (1)
+    # legitimately exceeds the root count (0)
+    assert all(c <= max(root_counts) for e, c in counts.items() if abs(e) != 1), \
         "internal count exceeds root count"
-    return CountTable(store=store, root=f, levels=levels,
-                      counts=counts, root_count=root_count, pos=pos)
+    return [CountTable(store=store, root=f, levels=levels, counts=counts,
+                       root_count=c, pos=pos) for f, c in zip(roots, root_counts)]

@@ -47,8 +47,9 @@ from collections.abc import Sequence
 from importlib import resources
 
 from .bdd import FALSE, TRUE, BddStore
+from .partition import join_windows
 from .search import (LayerSequence, LayerStat, Move, NO_PARTITION, PartitionStrategy,
-                     SearchLimits, TransitionSystem, _LayerSteps, _subimages)
+                     SearchLimits, TransitionSystem, _LayerSteps, _preimages)
 
 
 class GameSpecError(ValueError):
@@ -569,7 +570,10 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     layer a budget left unsolved has an empty one), the backward
     :class:`~lexbdd.search.LayerStat` rows in layer order, and whether
     every layer was classified.  The compiled reward operands are keyed
-    by their formulas.  The caches keep the last step's entries.
+    by their formulas.  Layer ``d``'s step ORs the layer's windows, and
+    its non-terminal windows, once (see
+    :class:`~lexbdd.search.LayerSequence`) and keeps neither union past
+    the step.  The caches keep the last step's entries.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
@@ -601,9 +605,10 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
             break
         t0 = time.perf_counter()
         peak = 0
-        rest = layers.nonterminal[d]
-        classes = _terminal_classes(store, spec, d, store.apply("and", layers.layers[d], -rest),
-                                    conjuncts, class_keys)
+        # the layer and its non-terminal half, merged for this step only
+        rest = join_windows(store, layers.nonterminal[d])
+        terminal = store.apply("and", join_windows(store, layers.layers[d]), -rest)
+        classes = _terminal_classes(store, spec, d, terminal, conjuncts, class_keys)
         if rest != FALSE:
             if d == last:
                 raise GameSolveError(
@@ -631,7 +636,7 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
                     if mine == FALSE:
                         break
                     # restricted to mine inside the product, so pred <= mine
-                    pred, sub_peak = _subimages(ts, following[key], strategy, forward=False,
+                    pred, sub_peak = _preimages(ts, following[key], strategy,
                                                 relations=(relations[p],), care=mine)
                     peak = max(peak, sub_peak)
                     if pred != FALSE:

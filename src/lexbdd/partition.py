@@ -76,13 +76,18 @@ def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...]
     """The split itself, for a checked universe, cut and support.
 
     Walks down the cut's path once, keeping each position's level, cut
-    bit and off-path child, then builds both results bottom-up.
+    bit and off-path child, then builds both results bottom-up.  The
+    walk stops where the path leaves ``f``: below that point both
+    results are empty.
     """
+    nodes, level = store._nodes, store._level
     steps = []
     e = f
     for v, bit in zip(levels, bits):
-        if store.level_of_edge(e) == v:
-            _, t, el = store.node(e)
+        if e == FALSE:
+            break
+        if level[e if e > 0 else -e] == v:
+            _, t, el = nodes[e if e > 0 else -e]
             if e < 0:
                 t, el = -t, -el
         else:
@@ -92,11 +97,16 @@ def _split_walk(store: BddStore, f: int, bits: Sequence, levels: tuple[int, ...]
         e = t if bit else el
     # the cut's own suffix lands in the left part
     left, right = e, FALSE
+    mk_node = store.mk_node
     for v, bit, off in reversed(steps):
         if bit:
-            left, right = store.mk_node(v, left, off), store.mk_node(v, right, FALSE)
+            left = mk_node(v, left, off)
+            if right != FALSE:
+                right = mk_node(v, right, FALSE)
         else:
-            left, right = store.mk_node(v, FALSE, left), store.mk_node(v, off, right)
+            if left != FALSE:
+                left = mk_node(v, FALSE, left)
+            right = mk_node(v, off, right)
     return SplitPair(left, right)
 
 
@@ -114,57 +124,111 @@ def split_at_count(table: CountTable, m: int) -> SplitPair:
     return _split_walk(table.store, table.root, cut, table.levels)
 
 
-def _partition_at_positions(table: CountTable, positions: Sequence[int]) -> LexPartition:
-    """Cut at the given strictly increasing 1-based member positions.
+def _partition_at_positions(tables: Sequence[CountTable],
+                            positions: Sequence[int]) -> LexPartition:
+    """Cut the windows ``tables`` at the given strictly increasing 1-based member positions.
 
-    The last position must equal the root count; its cut is replaced by
-    the all-ones assignment so the final window reaches the top of the
-    cube.
+    ``tables`` count the lex windows of one set over one universe:
+    disjoint and in ascending lex order.  A position counts the members
+    of the whole set, so the parts are those of the merged set, which is
+    never built; a part that spans windows is the OR of its pieces.  The
+    last position must equal the total count; its cut is replaced by the
+    all-ones assignment so the final window reaches the top of the cube.
     """
-    store = table.store
-    all_ones = (1,) * table.n
-    cuts = [unrank(table, p - 1) for p in positions[:-1]]
-    cuts.append(all_ones)
-    parts = []
-    # precompute_counts checked the root's support against the universe,
+    store, levels = tables[0].store, tables[0].levels
+    windows = iter(tables)
+    table = next(windows)
+    remainder, before = table.root, 0  # members of the windows before ``table``
+    cuts, parts = [], []
+    # precompute_counts checked each root's support against the universe,
     # and a split adds nodes only at universe levels, so no remainder needs
     # the whole-support check of split
-    remainder = table.root
-    for cut in cuts:
-        pair = _split_walk(store, remainder, cut, table.levels)
-        parts.append(pair.left)
+    for p in positions[:-1]:
+        pieces = []
+        while p > before + table.root_count:
+            pieces.append(remainder)
+            before += table.root_count
+            table = next(windows)
+            remainder = table.root
+        cut = unrank(table, p - before - 1)
+        pair = _split_walk(store, remainder, cut, levels)
+        pieces.append(pair.left)
         remainder = pair.right
-    assert remainder == FALSE
+        cuts.append(cut)
+        parts.append(join_windows(store, pieces))
+    cuts.append((1,) * len(levels))
+    parts.append(join_windows(store, [remainder, *(t.root for t in windows)]))
     return LexPartition(cuts=tuple(cuts), parts=tuple(parts))
 
 
-def fold_states_lex(table: CountTable, k: int) -> LexPartition:
+def _windows(table: CountTable | Sequence[CountTable]) -> tuple[CountTable, ...]:
+    return (table,) if isinstance(table, CountTable) else tuple(table)
+
+
+def fold_states_lex(table: CountTable | Sequence[CountTable], k: int) -> LexPartition:
     """Partition into ``k`` lex-contiguous folds of near-equal state count.
 
     Fold ``i`` ends at the member in position ``ceil(i * count / k)``,
     so fold sizes differ by at most one.  When the set has fewer than
     ``k`` members, ``k`` drops to the member count and every fold holds
-    one member; the empty set is one empty fold.
+    one member; the empty set is one empty fold.  ``table`` may also be
+    the count tables of a set's lex windows (see
+    :func:`_partition_at_positions`); the folds are those of their OR.
     """
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
-    c = table.root_count
+    tables = _windows(table)
+    c = sum(t.root_count for t in tables)
     k = max(1, min(k, c))  # with k <= c the positions strictly increase
-    return _partition_at_positions(table, [-(-i * c // k) for i in range(1, k + 1)])
+    return _partition_at_positions(tables, [-(-i * c // k) for i in range(1, k + 1)])
 
 
-def states_lex_bounded(table: CountTable, bound: int) -> LexPartition:
+def states_lex_bounded(table: CountTable | Sequence[CountTable], bound: int) -> LexPartition:
     """Partition into as many lex-contiguous parts as needed.
 
     Every part holds at most ``bound`` members; all but the last hold
-    exactly ``bound``.
+    exactly ``bound``.  ``table`` may also be the count tables of a
+    set's lex windows, as in :func:`fold_states_lex`.
     """
     if bound < 1:
         raise ValueError(f"state bound must be >= 1, got {bound}")
-    c = table.root_count
+    tables = _windows(table)
+    c = sum(t.root_count for t in tables)
     positions = list(range(bound, c, bound))
     positions.append(c)
-    return _partition_at_positions(table, positions)
+    return _partition_at_positions(tables, positions)
+
+
+def join_windows(store: BddStore, windows: Sequence[int]) -> int:
+    """The OR of lex windows; one window is returned as it is, none as false."""
+    union = FALSE
+    for w in windows:
+        union = w if union == FALSE else store.apply("or", union, w)
+    return union
+
+
+def extreme_member(store: BddStore, f: int, levels: Sequence[int], bit: int) -> tuple[int, ...]:
+    """The lex-least (``bit`` 0) or lex-greatest (``bit`` 1) member of ``f``.
+
+    ``f`` must be non-empty and lie within the sorted universe
+    ``levels``.  One walk down: each position takes the ``bit`` branch
+    unless it is empty, and a position skipped by reduction takes
+    ``bit``.
+    """
+    nodes, level = store._nodes, store._level
+    bits = []
+    e = f
+    for v in levels:
+        if level[e if e > 0 else -e] == v:
+            _, t, el = nodes[e if e > 0 else -e]
+            if e < 0:
+                t, el = -t, -el
+            b = bit if (t if bit else el) != FALSE else 1 - bit
+            e = t if b else el
+        else:
+            b = bit
+        bits.append(b)
+    return tuple(bits)
 
 
 def disj_var(store: BddStore, f: int,

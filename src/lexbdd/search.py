@@ -7,34 +7,44 @@ variables listed beside it and keeps every other variable implicitly,
 with no frame axiom for it.  States without successors are
 kept out of the relations as a separate sink set: it is masked out of
 each forward source part, and a backward product excludes it through
-its care set, during the product rather than after it.  The forward
-search masks each layer once, keeps that non-terminal half beside the
-layer, and masks each of the layer's parts with it, so a backward solve
-reads both halves of a layer without walking the sink set.  An image
+its care set, during the product rather than after it.  An image
 distributes over both the players' move relations and an optional
-partition of the source set, computes one relational product per
-(part, player) pair and ORs each subimage into the image as it is made.
-Each product quantifies only the levels its player writes and
-moves those variables between their current and next copies itself, so
-every subimage comes out over the current variables and nothing is
-renamed.
-The breadth-first search stores each depth layer as its own BDD and
-subtracts everything seen before, so layers are disjoint and layer
-index equals BFS depth.  What happens between two layer steps, of the
-search and of the backward solve alike, is up to :class:`_LayerSteps`.
+partition of the source set, and computes one relational product per
+(part, player) pair.  Each product quantifies only the levels its
+player writes and moves those variables between their current and next
+copies itself, so every subimage comes out over the current variables
+and nothing is renamed.
+The breadth-first search stores each depth layer as a tuple of lex
+windows, disjoint sets in ascending lex order whose OR is the layer,
+and subtracts everything seen before from each, so layers are disjoint
+and layer index equals BFS depth.  Under a lex strategy the windows of
+a layer end where the parts of the layer before it end: each subimage
+is split at those cuts and each piece ORed into its window, so no step
+builds its merged image, and the next step cuts the windows into the
+parts it would cut their OR into.  Under ``none`` and ``disj-var`` a
+layer is one window.  Each step masks its parts (or its one window)
+with the complement of the sink set once and keeps the masked windows
+beside the layer, so a backward solve reads both halves of a layer
+without walking the sink set.  What happens between two layer steps,
+of the search and of the backward solve alike, is up to
+:class:`_LayerSteps`.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bdd import FALSE, TRUE, BddStore
-from .counting import CountTable, precompute_counts
-from .partition import disj_var, fold_states_lex, states_lex_bounded
+from .counting import CountTable, count_windows, precompute_counts
+from .partition import (_split_walk, disj_var, extreme_member, fold_states_lex, join_windows,
+                        states_lex_bounded)
 
 STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
+LEX_KINDS = ("fold-states-lex", "states-lex")
 
 
 class Move(NamedTuple):  # not a dataclass: building one at import costs 7x as much
@@ -101,7 +111,7 @@ class PartitionStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}, expected {STRATEGY_KINDS}")
-        if self.kind in ("fold-states-lex", "states-lex"):
+        if self.kind in LEX_KINDS:
             if self.param is None or self.param < 1:
                 raise ValueError(f"strategy {self.kind} needs a parameter >= 1")
         elif self.param is not None:
@@ -112,7 +122,7 @@ class PartitionStrategy:
         kind, sep, param = text.partition(":")
         if not sep:
             return cls(kind)
-        if kind not in ("fold-states-lex", "states-lex"):
+        if kind not in LEX_KINDS:
             return cls(kind, param)  # rejected for its kind, whatever the parameter
         try:
             value = int(param)
@@ -126,28 +136,32 @@ class PartitionStrategy:
             return self.kind
         return f"{self.kind}:{self.param}"
 
-    def parts_of(self, store: BddStore, f: int | CountTable,
+    def parts_of(self, store: BddStore, f: int | CountTable | list,
                  levels: tuple[int, ...]) -> list[int]:
         """Partition ``f`` (a state set over ``levels``) into disjoint parts.
 
         ``f`` may also be a :class:`CountTable` of the state set over
-        ``levels``; the lex strategies then use its counts instead of
-        counting the set again.
+        ``levels``, or a list or tuple of sets or tables that are the lex
+        windows of one set (see :class:`LayerSequence`).  The lex
+        strategies use the tables' counts instead of counting again, and
+        cut the windows where they would cut the windows' OR, into the
+        same parts, without building it.  ``none`` and ``disj-var`` take
+        one window.
         """
-        table = None
-        if isinstance(f, CountTable):
-            table = f
-            f = table.root
-        if self.kind == "none" or f == FALSE:
-            return [f]
-        if self.kind == "disj-var":
+        windows = f if isinstance(f, (list, tuple)) else [f]
+        if self.kind not in LEX_KINDS:
+            if len(windows) != 1:
+                raise ValueError(f"strategy {self} partitions one set, not {len(windows)}")
+            f = windows[0].root if isinstance(windows[0], CountTable) else windows[0]
+            if self.kind == "none" or f == FALSE:
+                return [f]
             pair = disj_var(store, f, levels)
             return [pair.left, pair.right]
-        if table is None:
-            table = precompute_counts(store, f, levels)
+        tables = [w if isinstance(w, CountTable) else precompute_counts(store, w, levels)
+                  for w in windows]
         if self.kind == "fold-states-lex":
-            return list(fold_states_lex(table, self.param).parts)
-        return list(states_lex_bounded(table, self.param).parts)
+            return list(fold_states_lex(tables, self.param).parts)
+        return list(states_lex_bounded(tables, self.param).parts)
 
 
 NO_PARTITION = PartitionStrategy("none")
@@ -220,11 +234,15 @@ class LayerStat:
 
     ``max_image_nodes`` is the largest diagram, in nodes, among the
     layer's subimages, one per (part, player), and the images they
-    merge into; it does not depend on the order of the actions, the
-    players or the merge.  A backward row counts only the preimages
-    built; a player's last class takes its states without one.
-    ``total_nodes`` is the store's node count at the end of the step,
-    after any compaction at its start.
+    are ORed into: forward, the image's lex windows, of which there is
+    one under ``none`` and ``disj-var`` (see :class:`LayerSequence`);
+    backward, the merged preimage of a class.  It does not depend on the
+    order of the actions, the players or the merge.  No forward step
+    builds its merged image, so under a lex strategy the forward peak is
+    the largest subimage or window image.  A backward row counts only
+    the preimages built; a player's last class takes its states without
+    one.  ``total_nodes`` is the store's node count at the end of the
+    step, after any compaction at its start.
     """
     direction: str
     index: int
@@ -238,71 +256,116 @@ class LayerStat:
 class LayerSequence:
     """Breadth-first layers plus their metrics; ``reached`` is the union.
 
-    ``nonterminal[d]`` is the non-terminal half of ``layers[d]``, its
-    states outside the sink set, which the search built as the source of
-    the layer's image; the terminal half is ``layers[d] ∧ ¬nonterminal[d]``.
-    A complete sequence holds one per layer; an incomplete one lacks it
-    for the last layer, whose image the search never began.
-    ``leads_back`` lists the layers whose image met ``reached``, where
-    a move leads back to that layer or an earlier one; every move from
-    any other layer leads to the next.
+    Each layer is a tuple of lex windows: non-empty, pairwise disjoint
+    state sets in ascending lex order over the current variables, whose
+    OR is the layer.  Under ``none`` and ``disj-var`` a layer is one
+    window; under a lex strategy a layer has a window per part of the
+    layer before it that has successors here, so no layer is built
+    merged.  ``nonterminal[d]`` holds the windows of the non-terminal
+    half of ``layers[d]``, its states outside the sink set, which the
+    search built as the sources of the layer's image: one per part under
+    a lex strategy (lex-ascending and disjoint too), else the layer's
+    one window masked, with empty windows dropped.  The terminal half is
+    the layer minus their OR.  A complete sequence holds them for every
+    layer; an incomplete one lacks them for the last layer, whose image
+    the search never began.  ``leads_back`` lists the layers whose image
+    met ``reached``, where a move leads back to that layer or an earlier
+    one; every move from any other layer leads to the next.
     """
-    layers: list[int]
-    nonterminal: list[int]
+    layers: list[tuple[int, ...]]
+    nonterminal: list[tuple[int, ...]]
     leads_back: list[int]
     stats: list[LayerStat]
     reached: int
     complete: bool
 
 
-def _subimages(ts: TransitionSystem, s: int | CountTable, strategy: PartitionStrategy,
-               forward: bool, relations: tuple[Move, ...] | None = None,
-               care: int | None = None) -> tuple[int, int]:
-    """Partition ``s`` and OR its per-part, per-player relational products into one set.
+def _image_windows(ts: TransitionSystem, windows: list[CountTable],
+                   strategy: PartitionStrategy) -> tuple[tuple[int, ...], list[int], int]:
+    """One forward step from a layer's windows, given as their count tables.
 
-    ``s`` (a state set or its :class:`CountTable`) is partitioned over
-    the current variables; ``relations`` defaults to ``ts.relations``,
-    one :class:`Move` per player.  ``care`` is a set over the current
-    variables.  Forward images only the states of ``s`` in ``care``:
-    ``care`` must lie inside ``s``, and defaults to ``s`` outside the
-    sink set.  Each part is masked with it, and a part that is all of
-    ``s`` is ``care`` itself, with no AND.  Forward then quantifies the
-    current levels the player writes and makes each written next level
-    at its current level.  Backward reads the part's written current
-    levels as next levels, quantifies those, and takes the ternary
-    product with ``care`` (default: every state outside the sink set),
-    so each preimage is restricted to ``care`` as it is built and is
-    never taken over the whole state space.  A relation
-    that writes nothing is a plain conjunction.  Every subimage comes out
-    over the current variables, the same function, and so of the same
-    size, as the player's framed product renamed back.  Returns the
-    image and its peak: the largest diagram among the (part, player)
-    subimages and the merged image, whatever the order of the parts and
-    the players.
+    Under a lex strategy the parts are masked with the complement of the
+    sink set and kept as the layer's non-terminal windows; image window
+    ``i`` takes the states in ``(cuts[i - 1], cuts[i]]``, ``cuts[i]``
+    being part ``i``'s lex-greatest member.  Each (part, player)
+    subimage is split only at the cuts between its lex-least and
+    lex-greatest members, skipping the windows a split finds empty, and
+    each piece is ORed into its window.  Under ``none`` and ``disj-var``
+    the one window is masked once, each part with it, and every subimage
+    is ORed into one image.  Returns the non-empty non-terminal windows,
+    the image windows (some may be empty) and the peak: the largest
+    subimage or window image.
+    """
+    store, levels = ts.store, ts.current
+    if strategy.kind in LEX_KINDS:
+        parts = strategy.parts_of(store, windows, levels)
+        nonterminal = sources = [store.apply("and", part, -ts.sink) for part in parts]
+        cuts = [extreme_member(store, part, levels, 1) for part in parts[:-1]]
+    else:
+        whole = windows[0].root
+        care = store.apply("and", whole, -ts.sink)
+        sources = [care if part == whole else store.apply("and", part, care)
+                   for part in strategy.parts_of(store, windows, levels)]
+        nonterminal, cuts = [care], []
+    products = [(rel.edge, {w: w + 1 for w in rel.written}, {w + 1: w for w in rel.written})
+                for rel in ts.relations]
+    images = [FALSE] * (len(cuts) + 1)
+    peak = 0
+    for part in sources:
+        if part == FALSE:
+            continue
+        for edge, shift, back in products:
+            sub = store.and_exists(shift, edge, part, TRUE, None, back)
+            peak = max(peak, store.size(sub))
+            i = 0
+            if cuts:
+                if sub == FALSE:
+                    continue
+                i = bisect_left(cuts, extreme_member(store, sub, levels, 0))
+                last = bisect_left(cuts, extreme_member(store, sub, levels, 1))
+                while i < last:
+                    pair = _split_walk(store, sub, cuts[i], levels)
+                    if pair.left == FALSE:
+                        # skip every window below the least state left
+                        i = bisect_left(cuts, extreme_member(store, sub, levels, 0), i + 1)
+                        continue
+                    images[i] = store.apply("or", images[i], pair.left)
+                    sub, i = pair.right, i + 1
+            images[i] = store.apply("or", images[i], sub)
+    peak = max(peak, *map(store.size, images))
+    return tuple(w for w in nonterminal if w != FALSE), images, peak
+
+
+def _preimages(ts: TransitionSystem, s: int, strategy: PartitionStrategy,
+               relations: tuple[Move, ...] | None = None,
+               care: int | None = None) -> tuple[int, int]:
+    """Partition ``s`` and OR its per-part, per-player preimages into one set.
+
+    ``s`` is partitioned over the current variables; ``relations``
+    defaults to ``ts.relations``, one :class:`Move` per player.  Each
+    product reads the part's written current levels as next levels,
+    quantifies those, and takes the ternary product with ``care``, a
+    set over the current variables (default: every state outside the
+    sink set), so each preimage is restricted to ``care`` as it is built
+    and is never taken over the whole state space.  A relation that
+    writes nothing is a plain conjunction.  Every preimage comes out
+    over the current variables.  Returns the preimage and its peak: the
+    largest diagram among the (part, player) preimages and the merged
+    one, whatever the order of the parts and the players.
     """
     store = ts.store
     if relations is None:
         relations = ts.relations
-    parts = strategy.parts_of(store, s, ts.current)
-    if forward:
-        whole = s.root if isinstance(s, CountTable) else s
-        if care is None:
-            care = store.apply("and", whole, -ts.sink)
-        parts = [care if part == whole else store.apply("and", part, care) for part in parts]
-        care = TRUE
-    elif care is None:
+    if care is None:
         care = -ts.sink
-    products = []  # (edge, quantified levels, read map, write map) per player
-    for rel in relations:
-        shift = {w: w + 1 for w in rel.written}
-        back = {w + 1: w for w in rel.written}
-        products.append((rel.edge, shift, None, back) if forward else (rel.edge, back, shift, None))
+    products = [(rel.edge, {w + 1: w for w in rel.written}, {w: w + 1 for w in rel.written})
+                for rel in relations]
     merged, peak = FALSE, 0
-    for part in parts:
+    for part in strategy.parts_of(store, s, ts.current):
         if part == FALSE:
             continue
-        for edge, quantified, read, write in products:
-            sub = store.and_exists(quantified, edge, part, care, read, write)
+        for edge, quantified, read in products:
+            sub = store.and_exists(quantified, edge, part, care, read, None)
             peak = max(peak, store.size(sub))
             merged = store.apply("or", merged, sub)
     peak = max(peak, store.size(merged))
@@ -316,8 +379,8 @@ def image(ts: TransitionSystem, s: int,
     ``s`` is partitioned by ``strategy`` and the subimages of its parts
     are merged; the result does not depend on the strategy.
     """
-    result, _ = _subimages(ts, s, strategy, forward=True)
-    return result
+    _, images, _ = _image_windows(ts, [precompute_counts(ts.store, s, ts.current)], strategy)
+    return join_windows(ts.store, images)
 
 
 def preimage(ts: TransitionSystem, s: int,
@@ -326,54 +389,59 @@ def preimage(ts: TransitionSystem, s: int,
 
     ``s`` is partitioned by ``strategy`` as in :func:`image`.
     """
-    result, _ = _subimages(ts, s, strategy, forward=False)
+    result, _ = _preimages(ts, s, strategy)
     return result
 
 
 def layered_bfs(ts: TransitionSystem, init: int,
                 strategy: PartitionStrategy = NO_PARTITION,
                 limits: SearchLimits | None = None) -> LayerSequence:
-    """Explore forward from ``init``, one disjoint BDD per depth layer.
+    """Explore forward from ``init``, one disjoint layer of lex windows per depth.
 
-    Each new layer is the image of the previous one minus every state
-    seen so far; the search stops at the fix point or when a budget runs
-    out, in which case the sequence is flagged incomplete.  Each step
-    first builds the layer's non-terminal half, ``layer ∧ ¬sink``, once:
-    it is the source of the image and is kept in
-    :attr:`LayerSequence.nonterminal`; a step whose image met
-    ``reached`` is listed in :attr:`LayerSequence.leads_back`.  Between steps,
-    :class:`_LayerSteps` keeps the layers, their non-terminal halves and
-    ``reached``, so every edge made before the call keeps its meaning,
-    and so does every edge it returns.
+    Each new layer is the image of the previous one (see
+    :func:`_image_windows`) minus every state seen so far, window by
+    window, with empty windows dropped; ``reached`` stays one set.  The
+    search stops at the fix point or when a budget runs out, in which
+    case the sequence is flagged incomplete.  Each step keeps its masked
+    sources in :attr:`LayerSequence.nonterminal`; a step whose image met
+    ``reached`` is listed in :attr:`LayerSequence.leads_back`.  Between
+    steps, :class:`_LayerSteps` keeps the layers, their non-terminal
+    windows and ``reached``, so every edge made before the call keeps
+    its meaning, and so does every edge it returns.
     """
     if init == FALSE:
         raise ValueError("initial state set is empty")
     store = ts.store
     steps = _LayerSteps(store, limits)
-    layers = [init]
+    layers = [(init,)]
     nonterminal = []
     leads_back = []
     reached = init
     stats = []
     made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
     while True:
-        roots = steps.start([*layers, *nonterminal, reached])
-        layers, nonterminal, reached = roots[:len(layers)], roots[len(layers):-1], roots[-1]
-        # each layer is counted once, after any compaction, for its
-        # LayerStat and as the next source, and masked once
-        table = precompute_counts(store, layers[-1], ts.current)
-        stats.append(LayerStat("forward", len(layers) - 1, *made, table.root_count))
+        held = [*layers, *nonterminal, (reached,)]
+        edges = iter(steps.start([e for windows in held for e in windows]))
+        held = [tuple(itertools.islice(edges, len(windows))) for windows in held]
+        layers, nonterminal, reached = held[:len(layers)], held[len(layers):-1], held[-1][0]
+        # the windows are counted once, after any compaction, for the
+        # LayerStat and as the sources' windows
+        tables = count_windows(store, layers[-1], ts.current)
+        stats.append(LayerStat("forward", len(layers) - 1, *made,
+                               sum(table.root_count for table in tables)))
         if steps.exhausted():
             return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=False)
         t0 = time.perf_counter()
-        nonterminal.append(store.apply("and", layers[-1], -ts.sink))
-        successors, peak = _subimages(ts, table, strategy, forward=True, care=nonterminal[-1])
-        frontier = store.apply("and", successors, -reached)
+        kept, images, peak = _image_windows(ts, tables, strategy)
+        nonterminal.append(kept)
+        frontier = [store.apply("and", img, -reached) for img in images]
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if frontier != successors:
+        if frontier != images:
             leads_back.append(len(layers) - 1)
-        if frontier == FALSE:
+        frontier = tuple(w for w in frontier if w != FALSE)
+        if not frontier:
             return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=True)
         layers.append(frontier)
-        reached = store.apply("or", reached, frontier)
+        for w in frontier:
+            reached = store.apply("or", reached, w)
         made = (elapsed_ms, store.node_count(), peak)

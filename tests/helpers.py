@@ -56,6 +56,14 @@ def action_relations(ts, spec):
     return out
 
 
+def merged(store: BddStore, windows) -> int:
+    """The OR of a forward layer's windows, one ``apply`` at a time."""
+    union = FALSE
+    for w in windows:
+        union = store.apply("or", union, w)
+    return union
+
+
 def negate(e: int) -> int:
     """Complement a function; constant time, never allocates."""
     return -e

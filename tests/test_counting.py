@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lexbdd import BddStore, precompute_counts, rank, unrank
+from lexbdd import BddStore, precompute_counts, rank, split, unrank
+from lexbdd.counting import count_windows
 from lexbdd.bdd import FALSE, TRUE
 
 from helpers import corpus, enum_count, from_truth_table, random_function
@@ -124,3 +125,21 @@ def test_deep_order_counts_without_recursion():
         assert table.root_count == count
         for r in (0, count - 1, *(rng.randrange(count) for _ in range(20))):
             assert rank(table, unrank(table, r)) == r
+
+
+def test_windows_counted_in_one_pass_match_their_own_tables():
+    rng = random.Random(23)
+    for store, f, n in corpus(seed=23, count=40, sizes=range(3, 10)):
+        windows, rest = [], f
+        for cut in sorted({tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(3)}):
+            pair = split(store, rest, cut)
+            windows.append(pair.left)
+            rest = pair.right
+        windows.append(rest)
+        for window, table in zip(windows, count_windows(store, windows), strict=True):
+            alone = precompute_counts(store, window)
+            assert (table.root, table.root_count) == (window, alone.root_count)
+            assert all(table.counts[e] == c for e, c in alone.counts.items())
+            ranks = range(table.root_count)
+            assert [unrank(table, r) for r in ranks] == [unrank(alone, r) for r in ranks]
+            assert [rank(table, unrank(alone, r)) for r in ranks] == list(ranks)

@@ -15,13 +15,13 @@ import lexbdd.games
 import lexbdd.search
 from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, \
     bundled_game_path, compile_game, image, initial_edge, layered_bfs, load_game, \
-    parse_game, precompute_counts, solve
+    parse_game, precompute_counts, solve, unrank
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import _preference_order, formula_edge, parse_formula, state_edge
-from lexbdd.search import PartitionStrategy, SearchLimits, TransitionSystem, _subimages
+from lexbdd.search import PartitionStrategy, SearchLimits, TransitionSystem, _preimages
 
 from explicit import ExplicitGame, eval_formula
-from helpers import action_relations
+from helpers import action_relations, merged
 
 
 STRATEGIES = ("none", "fold-states-lex:8", "states-lex:64", "disj-var")
@@ -511,7 +511,7 @@ def test_solution_classes_partition_each_layer():
             for other in edges[i + 1:]:
                 assert store.apply("and", e, other) == FALSE
             union = store.apply("or", union, e)
-        assert union == layer
+        assert union == merged(store, layer)
 
 
 def test_solve_partition_strategies_agree():
@@ -526,7 +526,7 @@ def _check_classes_against_every_preimage(ts, layers, sol, strategy):
 
     In the player's preference order, each class with states in the next
     layer takes the still-unassigned states whose preimage through
-    ``_subimages`` reaches it, with those states as the care set; the
+    ``_preimages`` reaches it, with those states as the care set; the
     class ``solve`` built must hold exactly them.  The last class's
     preimage must return every state still unassigned.  Returns the
     number of last classes that took at least one state.
@@ -538,13 +538,13 @@ def _check_classes_against_every_preimage(ts, layers, sol, strategy):
         following = sol.layer_classes[d + 1]
         for rel in ts.relations:
             can_move = store.and_exists([w + 1 for w in rel.written], rel.edge, TRUE)
-            start = mine = store.apply("and", layers.nonterminal[d], can_move)
+            start = mine = store.apply("and", merged(store, layers.nonterminal[d]), can_move)
             if mine == FALSE:
                 continue
             keys = [key for key in _preference_order(sol.class_keys, rel.player)
                     if following[key] != FALSE]
             for key in keys:
-                pred, _ = _subimages(ts, following[key], strategy, forward=False,
+                pred, _ = _preimages(ts, following[key], strategy,
                                      relations=(rel,), care=mine)
                 assert store.apply("and", sol.layer_classes[d][key], start) == pred
                 mine = store.apply("and", mine, -pred)
@@ -599,7 +599,7 @@ def _check_terminal_classes(ts, spec, layers, sol):
     rewards = {p: [(value, formula_edge(ts, spec, formula)) for value, formula in entries]
                for p, entries in spec.rewards.items()}
     for d, (layer, rest) in enumerate(zip(layers.layers, layers.nonterminal)):
-        terminal = store.apply("and", layer, -rest)
+        terminal = store.apply("and", merged(store, layer), -merged(store, rest))
         per_player = []
         for p in range(1, spec.players + 1):
             sets = {}
@@ -652,6 +652,62 @@ def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
         _check_terminal_classes(ts, spec, layers, sol)
         solved += 1
     assert solved > 100
+
+
+def _check_windows(ts, spec, layers):
+    """Each forward layer's windows, and its non-terminal ones, against the explicit BFS layers.
+
+    Windows of either kind are non-empty, pairwise disjoint and lex
+    ascending: each one's greatest member (by ``unrank``) lies below the
+    next one's least.  A layer's windows hold exactly the explicit
+    layer's states, and its non-terminal windows the layer minus the
+    sink set.
+    """
+    store = ts.store
+    explicit = ExplicitGame(spec).bfs_layers()
+    assert layers.complete and len(layers.nonterminal) == len(layers.layers)
+    for windows, rest, states in zip(layers.layers, layers.nonterminal, explicit, strict=True):
+        for kind in (windows, rest):
+            tables = [precompute_counts(store, w, ts.current) for w in kind]
+            assert all(table.root_count > 0 for table in tables)
+            for a, b in zip(tables, tables[1:]):
+                assert unrank(a, a.root_count - 1) < unrank(b, 0)
+            for a, b in itertools.combinations(kind, 2):
+                assert store.apply("and", a, b) == FALSE
+        layer = merged(store, windows)
+        assert precompute_counts(store, layer, ts.current).root_count == len(states)
+        assert all(store.evaluate(layer, _full_assignment(store, bits, bits)) for bits in states)
+        assert merged(store, rest) == store.apply("and", layer, -ts.sink)
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_forward_layers_are_disjoint_lex_windows_of_the_explicit_layers(name, strategy):
+    spec = load_game(bundled_game_path(name))
+    strategy = PartitionStrategy.parse(strategy)
+    ts = compile_game(spec)
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    _check_windows(ts, spec, layers)
+    if strategy.kind in ("none", "disj-var"):
+        assert all(len(windows) == 1 for windows in layers.layers)
+    elif name == "tictactoe":
+        assert max(len(windows) for windows in layers.layers) > 1
+
+
+def test_forward_layers_are_disjoint_lex_windows_on_fuzzed_games():
+    strategy = PartitionStrategy.parse("fold-states-lex:8")
+    checked = windowed = 0
+    for text in _fuzzed_game_texts(2000):
+        try:
+            spec = parse_game(text)
+        except GameSpecError:
+            continue
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+        _check_windows(ts, spec, layers)
+        checked += 1
+        windowed += max(len(windows) for windows in layers.layers) > 1
+    assert checked > 100 and windowed > 40
 
 
 @pytest.mark.parametrize("name", ["tictactoe", "duel"])
@@ -753,13 +809,14 @@ def test_solve_takes_at_most_one_preimage_per_layer(monkeypatch):
 
     def recording(*args, care, **kwargs):
         cares.append(care)
-        return subimages(*args, care=care, **kwargs)
+        return preimages(*args, care=care, **kwargs)
 
-    subimages = lexbdd.games._subimages
-    monkeypatch.setattr(lexbdd.games, "_subimages", recording)
+    preimages = lexbdd.games._preimages
+    monkeypatch.setattr(lexbdd.games, "_preimages", recording)
     sol = solve(ts, spec, layers)
     assert sol.complete and len(sol.class_keys) == 2
-    per_layer = [sum(ts.store.apply("and", care, layer) != FALSE for care in cares)
+    per_layer = [sum(ts.store.apply("and", care, merged(ts.store, layer)) != FALSE
+                     for care in cares)
                  for layer in layers.layers]
     assert sum(per_layer) == len(cares) > 0
     assert max(per_layer) == 1
@@ -768,24 +825,27 @@ def test_solve_takes_at_most_one_preimage_per_layer(monkeypatch):
 def test_solve_uses_one_quantification_kernel(monkeypatch):
     # the op cache holds only relational products, each keyed by its token;
     # the caches are cleared every layer step, so look where products were
-    # just made: at the exit of every _subimages call
+    # just made: at the exit of every _image_windows and _preimages call
     spec = load_game(bundled_game_path("tictactoe"))
     ts = compile_game(spec)
     store = ts.store
     strategy = PartitionStrategy.parse("fold-states-lex:8")
     snapshots = []
 
-    def recording(*args, **kwargs):
-        result = subimages(*args, **kwargs)
-        tokens = {product[0] for product in store._products.values()}
-        keys = {key[0] for key in store._op_cache}
-        assert keys <= tokens
-        snapshots.append((result[0], keys))
-        return result
+    def recording(products, image):
+        def recorded(*args, **kwargs):
+            result = products(*args, **kwargs)
+            tokens = {product[0] for product in store._products.values()}
+            keys = {key[0] for key in store._op_cache}
+            assert keys <= tokens
+            snapshots.append((image(result), keys))
+            return result
+        return recorded
 
-    subimages = lexbdd.search._subimages
-    monkeypatch.setattr(lexbdd.search, "_subimages", recording)
-    monkeypatch.setattr(lexbdd.games, "_subimages", recording)
+    monkeypatch.setattr(lexbdd.search, "_image_windows", recording(
+        lexbdd.search._image_windows, lambda result: merged(store, result[1])))
+    monkeypatch.setattr(lexbdd.games, "_preimages", recording(
+        lexbdd.games._preimages, lambda result: result[0]))
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
     forward = snapshots[:]
     solve(ts, spec, layers, strategy)
@@ -934,7 +994,8 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
     if name not in ("counter3", "duel"):  # their stores never double inside a call
         assert sum(removed) > 0
     for layers, sol in solved:
-        for edge, states in zip(layers.layers, explicit_layers, strict=True):
+        for windows, states in zip(layers.layers, explicit_layers, strict=True):
+            edge = merged(store, windows)
             assert precompute_counts(store, edge, ts.current).root_count == len(states)
             for state in states:
                 assert store.evaluate(edge, _full_assignment(store, state, state))

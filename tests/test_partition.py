@@ -5,13 +5,14 @@ import signal
 
 import pytest
 
-from lexbdd import BddStore, disj_var, fold_states_lex, precompute_counts, split, \
-    split_at_count, states_lex_bounded
+from lexbdd import BddStore, PartitionStrategy, bundled_game_names, bundled_game_path, \
+    compile_game, disj_var, fold_states_lex, initial_edge, layered_bfs, load_game, \
+    precompute_counts, split, split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
-from lexbdd.partition import LexPartition
+from lexbdd.partition import LexPartition, extreme_member
 
 from helpers import all_assignments, check_lex_partition, corpus, from_truth_table, \
-    random_function, satisfying
+    merged, random_function, satisfying
 
 
 def _counts(store, *edges):
@@ -312,3 +313,60 @@ def test_split_rejects_support_outside_its_universe():
     f = store.ite(store.var(0), store.var(3), store.var(2))
     with pytest.raises(ValueError):
         split(store, f, (0, 0, 0), levels=(0, 2, 4))
+
+
+def test_extreme_members_are_the_least_and_greatest_members():
+    for store, f, n in corpus(seed=77, count=60, sizes=range(3, 10)):
+        members = satisfying(store, f, n)
+        if not members:
+            continue
+        assert extreme_member(store, f, range(n), 0) == members[0]
+        assert extreme_member(store, f, range(n), 1) == members[-1]
+
+
+def _check_windows_partition_like_their_merged_set(store, windows, levels, sizes):
+    """The lex partitions of ``windows`` against those of their OR, for each size.
+
+    Each partition's cuts and parts equal the merged set's; the parts a
+    lex strategy takes from the windows, as edges or count tables, are
+    the same edges; and each part's greatest member is its cut.
+    """
+    tables = [precompute_counts(store, w, levels) for w in windows]
+    whole = precompute_counts(store, merged(store, windows), levels)
+    for size in sizes:
+        for kind, partition in (("fold-states-lex", fold_states_lex),
+                                ("states-lex", states_lex_bounded)):
+            want = partition(whole, size)
+            assert partition(tables, size) == want
+            strategy = PartitionStrategy(kind, size)
+            assert strategy.parts_of(store, tables, levels) == list(want.parts)
+            assert strategy.parts_of(store, tuple(windows), levels) == list(want.parts)
+            assert [extreme_member(store, part, levels, 1) for part in want.parts[:-1]] == \
+                list(want.cuts[:-1])
+
+
+def test_windows_partition_like_their_merged_set():
+    rng = random.Random(5)
+    for store, f, n in corpus(seed=5, count=40, sizes=range(4, 10)):
+        if f == FALSE:
+            continue
+        # cut f into lex windows at random cuts, dropping the empty ones
+        windows, rest = [], f
+        for cut in sorted({tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(4)}):
+            pair = split(store, rest, cut)
+            windows.append(pair.left)
+            rest = pair.right
+        windows = [w for w in (*windows, rest) if w != FALSE]
+        _check_windows_partition_like_their_merged_set(store, windows, tuple(range(n)),
+                                                       (1, 2, 3, 5, 8, 1 << n))
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_lex_parts_of_windowed_layers_are_those_of_the_merged_layers(name):
+    spec = load_game(bundled_game_path(name))
+    for text in ("fold-states-lex:8", "states-lex:64"):
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
+        for windows in layers.layers:
+            _check_windows_partition_like_their_merged_set(ts.store, windows, ts.current,
+                                                           (1, 3, 8, 64))

@@ -10,14 +10,14 @@ import pytest
 
 import lexbdd.search
 from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs, preimage, \
-    precompute_counts
+    precompute_counts, split, unrank
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, formula_edge, \
     initial_edge, load_game, parse_game, solve, state_edge
-from lexbdd.search import Move, TransitionSystem, _subimages
+from lexbdd.search import Move, TransitionSystem, _image_windows, _preimages
 
 from explicit import ExplicitGame
-from helpers import action_relations
+from helpers import action_relations, merged
 
 COUNTER = """
 name: counter3
@@ -79,6 +79,17 @@ def test_image_distributes_over_partitions(counter):
         assert image(ts, s, strategy) == whole
 
 
+def test_only_lex_strategies_partition_several_windows(counter):
+    _, ts = counter
+    store = ts.store
+    windows = (_state_set(ts, [(0, 0, 0)]), _state_set(ts, [(1, 0, 0)]))
+    for text in ("none", "disj-var"):
+        with pytest.raises(ValueError, match="partitions one set"):
+            PartitionStrategy.parse(text).parts_of(store, windows, ts.current)
+    assert PartitionStrategy.parse("fold-states-lex:2").parts_of(store, windows, ts.current) == \
+        list(windows)
+
+
 def _framed(ts, edge, written):
     """``edge`` with a frame axiom ``u' <-> u`` for every variable outside ``written``."""
     store = ts.store
@@ -101,7 +112,7 @@ def _framed_product(ts, edge, part, forward):
     return store.apply("and", store.and_exists(set(nxt), edge, source), -ts.sink)
 
 
-def _subimages_reference(ts, spec, parts, forward):
+def _subimages_reference(ts, spec, parts, forward, cuts=()):
     """Reference image and peak from framed relations, every piece over the current variables.
 
     The image ORs one plain product per (part, action), each action
@@ -109,7 +120,9 @@ def _subimages_reference(ts, spec, parts, forward):
     largest diagram among the image and the per-(part, player) pieces,
     each player's relation being the OR of its actions' framed
     relations.  ``parts`` partition the set over the current variables,
-    and each is renamed on its own.
+    and each is renamed on its own.  Forward, the image comes as its
+    windows, split at ``cuts`` with ``split``, and the peak counts them
+    in place of the image.
     """
     store = ts.store
     framed = [(player, _framed(ts, edge, written))
@@ -122,7 +135,16 @@ def _subimages_reference(ts, spec, parts, forward):
     for player, edge in framed:
         clusters[player] = store.apply("or", clusters.get(player, FALSE), edge)
     pieces = [_framed_product(ts, edge, part, forward) for part in parts for edge in clusters.values()]
-    return result, max(len(store.descendants(e)) for e in (*pieces, result))
+    images = [result]
+    if forward:
+        images.clear()
+        for cut in cuts:
+            pair = split(store, result, cut, ts.current)
+            images.append(pair.left)
+            result = pair.right
+        images.append(result)
+    return (images if forward else result), \
+        max(len(store.descendants(e)) for e in (*pieces, *images))
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -133,11 +155,20 @@ def test_subimages_match_the_framed_reference(name):
         store = ts.store
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-        for layer in layers.layers:
+        for windows in layers.layers:
+            layer = merged(store, windows)
             parts = strategy.parts_of(store, layer, ts.current)
-            for forward in (True, False):
-                assert _subimages(ts, layer, strategy, forward=forward) == \
-                    _subimages_reference(ts, spec, parts, forward)
+            # a lex strategy's image windows end where its parts end
+            cuts = []
+            if text not in ("none", "disj-var"):
+                for part in parts[:-1]:
+                    table = precompute_counts(store, part, ts.current)
+                    cuts.append(unrank(table, table.root_count - 1))
+            tables = [precompute_counts(store, w, ts.current) for w in windows]
+            assert _image_windows(ts, tables, strategy)[1:] == \
+                _subimages_reference(ts, spec, parts, True, cuts)
+            assert _preimages(ts, layer, strategy) == \
+                _subimages_reference(ts, spec, parts, False)
         solve(ts, spec, layers, strategy)
         store.check()
 
@@ -149,15 +180,15 @@ def test_backward_subimages_are_restricted_to_the_care_set(name):
         ts = compile_game(spec)
         store = ts.store
         strategy = PartitionStrategy.parse(text)
-        layers = layered_bfs(ts, initial_edge(ts, spec), strategy).layers
+        layers = [merged(store, w) for w in layered_bfs(ts, initial_edge(ts, spec), strategy).layers]
         for d, layer in enumerate(layers):
             movers = store.apply("and", layer, -ts.sink)
             for s in layers[d:d + 2]:
-                whole, _ = _subimages(ts, s, strategy, forward=False, care=TRUE)
-                assert _subimages(ts, s, strategy, forward=False, care=movers)[0] == \
+                whole, _ = _preimages(ts, s, strategy, care=TRUE)
+                assert _preimages(ts, s, strategy, care=movers)[0] == \
                     store.apply("and", movers, whole)
                 # by default a preimage is restricted to the states outside the sink set
-                assert _subimages(ts, s, strategy, forward=False)[0] == \
+                assert _preimages(ts, s, strategy)[0] == \
                     store.apply("and", -ts.sink, whole)
         store.check()
 
@@ -187,8 +218,8 @@ def test_layered_bfs_counter_layers(counter):
     assert seq.complete
     explicit_layers = ExplicitGame(spec).bfs_layers()
     assert len(seq.layers) == len(explicit_layers) == 8
-    for edge, states in zip(seq.layers, explicit_layers):
-        assert edge == _state_set(ts, states)
+    for windows, states in zip(seq.layers, explicit_layers):
+        assert windows == (_state_set(ts, states),)
     assert [s.states for s in seq.stats] == [1] * 8
 
 
@@ -210,9 +241,10 @@ reward 1 0: !a
 def test_layer_disjointness_and_union(counter):
     spec, ts = counter
     seq = layered_bfs(ts, initial_edge(ts, spec))
+    layers = [merged(ts.store, w) for w in seq.layers]
     union = FALSE
-    for i, a in enumerate(seq.layers):
-        for b in seq.layers[i + 1:]:
+    for i, a in enumerate(layers):
+        for b in layers[i + 1:]:
             assert ts.store.apply("and", a, b) == FALSE
         union = ts.store.apply("or", union, a)
     assert union == seq.reached
@@ -223,7 +255,8 @@ def test_partition_invariance_of_bfs(counter):
     baseline = layered_bfs(ts, initial_edge(ts, spec))
     for text in ("fold-states-lex:8", "states-lex:32", "disj-var"):
         seq = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
-        assert seq.layers == baseline.layers  # canonical edges, same store
+        # canonical edges, same store
+        assert [(merged(ts.store, w),) for w in seq.layers] == baseline.layers
         assert seq.reached == baseline.reached
 
 
@@ -250,28 +283,33 @@ def test_node_budget_exhaustion(counter):
     assert not seq.complete
 
 
-def test_forward_search_counts_each_layer_once(monkeypatch):
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8"])
+def test_forward_search_counts_each_layer_once(strategy, monkeypatch):
     # tictactoe's store more than doubles inside the search, so the layers
     # are compacted between steps; a compaction must not cost a recount
     spec = load_game(bundled_game_path("tictactoe"))
     ts = compile_game(spec)
     counted, compactions = [], []
-    count, compact = lexbdd.search.precompute_counts, BddStore.compact
+    count, compact = lexbdd.search.count_windows, BddStore.compact
 
-    def counting(store, f, levels):
-        counted.append(f)
-        return count(store, f, levels)
+    def counting(store, roots, levels):
+        counted.extend(roots)
+        return count(store, roots, levels)
+
+    def counting_again(store, f, levels):
+        raise AssertionError("a window was counted again")
 
     def compacting(store, since, roots):
         compactions.append(since)
         return compact(store, since, roots)
 
-    monkeypatch.setattr(lexbdd.search, "precompute_counts", counting)
+    monkeypatch.setattr(lexbdd.search, "count_windows", counting)
+    monkeypatch.setattr(lexbdd.search, "precompute_counts", counting_again)
     monkeypatch.setattr(BddStore, "compact", compacting)
-    layers = layered_bfs(ts, initial_edge(ts, spec))
+    layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(strategy))
     assert layers.complete
     assert compactions
-    assert len(counted) == len(layers.layers)
+    assert len(counted) == sum(len(windows) for windows in layers.layers)
     assert [row.states for row in layers.stats] == \
         [len(states) for states in ExplicitGame(spec).bfs_layers()]
 
@@ -295,7 +333,8 @@ def test_kept_nonterminal_halves_are_the_layers_outside_the_sink(strategy, monke
     layers = layered_bfs(ts, init, PartitionStrategy.parse(strategy))
     assert layers.complete and compactions
     store.check()
-    assert layers.nonterminal == [store.apply("and", layer, -ts.sink) for layer in layers.layers]
+    assert [merged(store, w) for w in layers.nonterminal] == \
+        [store.apply("and", merged(store, w), -ts.sink) for w in layers.layers]
     partial = layered_bfs(ts, init, limits=SearchLimits(time_s=0.0))
     assert not partial.complete and partial.nonterminal == []
 
@@ -327,7 +366,7 @@ def test_monolithic_image_agrees(name):
     seq = layered_bfs(ts, initial_edge(ts, spec))
     for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
         strategy = PartitionStrategy.parse(text)
-        for s in (*seq.layers, seq.reached):
+        for s in (*(merged(ts.store, w) for w in seq.layers), seq.reached):
             assert image(mono_ts, s, strategy) == image(ts, s, strategy)
             assert preimage(mono_ts, s, strategy) == preimage(ts, s, strategy)
 
@@ -485,7 +524,8 @@ def test_effect_shapes_match_the_explicit_engine(name):
             assert image(ts, s, strategy) == _state_set(ts, succ)
             assert preimage(ts, s, strategy) == _state_set(ts, pred)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-        assert layers.layers == [_state_set(ts, layer) for layer in explicit.bfs_layers()]
+        assert [merged(ts.store, w) for w in layers.layers] == \
+            [_state_set(ts, layer) for layer in explicit.bfs_layers()]
         if name != "idle":  # its idle action loops, which no layered value allows
             table = solve(ts, spec, layers, strategy)
             for layer in explicit.bfs_layers():

@@ -21,8 +21,9 @@ variables keep their value.
 Compilation produces one move relation per player over an interleaved
 current/next variable order, the OR of the player's actions, each
 framed on the variables that the player's other actions write, and a
-sink set of terminal states that image computation masks out, so they
-have no outgoing transitions.  Solving classifies every forward layer
+sink set of terminal states, held as the terminal formula's top-level
+``or`` operands, that image computation masks out, so they have no
+outgoing transitions.  Solving classifies every forward layer
 by game value, walking backward from the last layer and assigning each
 state the best reward class, in the moving player's preference order,
 whose already-classified successors it can reach.  Every move must lead
@@ -354,8 +355,10 @@ def compile_game(spec: GameSpec) -> TransitionSystem:
     each action's edge is the precondition and ``w' <-> rhs`` for every
     written ``w``, where ``rhs`` is the action's effect on ``w``, or
     ``w`` itself, a frame axiom, when the action leaves ``w`` alone.
-    The player's edge ORs its actions' edges.  The terminal formula
-    becomes the ``sink`` set.  Each call makes a fresh store.
+    The player's edge ORs its actions' edges.  ``sink`` holds each
+    distinct top-level ``or`` operand of the terminal formula compiled
+    on its own, never their OR, which with interleaved variables can be
+    far larger; ``FALSE`` is dropped.  Each call makes a fresh store.
     """
     store = BddStore(name for v in spec.variables for name in (v, v + "'"))
     cur = {v: 2 * i for i, v in enumerate(spec.variables)}
@@ -375,8 +378,9 @@ def compile_game(spec: GameSpec) -> TransitionSystem:
                 trans = store.apply("and", trans, store.ite(store.var(cur[v] + 1), rhs, -rhs))
             edge = store.apply("or", edge, trans)
         relations.append(Move(player, edge, tuple(cur[v] for v in written)))
-    return TransitionSystem(store=store, relations=tuple(relations),
-                            sink=_compile_formula(store, cur, spec.terminal))
+    sink = dict.fromkeys(_compile_formula(store, cur, f) for f in _operands(spec.terminal, "or"))
+    sink.pop(FALSE, None)
+    return TransitionSystem(store=store, relations=tuple(relations), sink=tuple(sink))
 
 
 def formula_edge(ts: TransitionSystem, spec: GameSpec, formula) -> int:
@@ -444,9 +448,9 @@ class SolutionTable:
         raise LookupError(f"state {tuple(bits)} is not classified (unreachable?)")
 
 
-def _conjuncts(formula) -> tuple:
-    """A formula's top-level ``and`` operands, or the formula alone."""
-    return formula[1:] if formula[0] == "and" else (formula,)
+def _operands(formula, op: str) -> tuple:
+    """A formula's top-level ``op`` operands, or the formula alone."""
+    return formula[1:] if formula[0] == op else (formula,)
 
 
 def _terminal_classes(store: BddStore, spec: GameSpec, d: int, terminal: int,
@@ -470,7 +474,7 @@ def _terminal_classes(store: BddStore, spec: GameSpec, d: int, terminal: int,
         sets: dict[int, int] = {}
         for value, formula in spec.rewards[p]:
             edge = terminal
-            for operand in _conjuncts(formula):
+            for operand in _operands(formula, "and"):
                 edge = store.apply("and", edge, conjuncts[operand])
             sets[value] = store.apply("or", sets.get(value, FALSE), edge)
         for (v, e), (w, f) in itertools.combinations(sets.items(), 2):
@@ -582,7 +586,7 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     players = range(1, spec.players + 1)
     class_keys = tuple(itertools.product(
         *(dict.fromkeys(value for value, _ in spec.rewards[p]) for p in players)))
-    operands = (op for p in players for _, f in spec.rewards[p] for op in _conjuncts(f))
+    operands = (op for p in players for _, f in spec.rewards[p] for op in _operands(f, "and"))
     conjuncts = {op: formula_edge(ts, spec, op) for op in dict.fromkeys(operands)}
     relations = {rel.player: rel for rel in ts.relations}
     # where a player can move: its relation with the next levels quantified

@@ -5,8 +5,9 @@ relation, and never built monolithically.  Variable ``i`` sits at level
 ``2i`` and its next copy at ``2i + 1``.  A move relation writes the
 variables listed beside it and keeps every other variable implicitly,
 with no frame axiom for it.  States without successors are
-kept out of the relations as a separate sink set: it is masked out of
-each forward source part, and a backward product excludes it through
+kept out of the relations as a separate sink set, held as its disjuncts
+and never built whole: each forward source part is ANDed with each
+disjunct's complement, and a backward product excludes the sink through
 its care set, during the product rather than after it.  An image
 distributes over both the players' move relations and an optional
 partition of the source set, and computes one relational product per
@@ -71,22 +72,27 @@ class TransitionSystem:
     Variable ``i`` sits at level ``2i`` (``current``) and its next copy
     at ``2i + 1``, so the store holds an even number of levels.
     ``relations`` partition the transition relation by player; an image
-    ORs their products.  ``sink`` holds the current states
-    that have no successors whatever the relations say; ``image`` and
-    ``preimage`` mask it out.  A relation whose ``written`` is not a
-    sorted tuple of distinct current levels, or whose edge reads the
-    next copy of a variable it does not write, is rejected.
+    ORs their products.  ``sink`` holds edges over the current variables
+    whose OR, never built, is the set of states with no successors
+    whatever the relations say; ``image`` and ``preimage`` mask each out.
+    A ``sink`` that is not a tuple of store edges, and a relation whose
+    ``written`` is not a sorted tuple of distinct current levels, or
+    whose edge reads the next copy of a variable it does not write, are
+    rejected.
     """
     store: BddStore
     relations: tuple[Move, ...]
-    sink: int = FALSE
+    sink: tuple[int, ...] = ()
     current: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        n = self.store.n
+        n, slots = self.store.n, self.store.node_count() + 2
         if n % 2:
             raise ValueError(f"store has {n} levels, not a current and a next one per variable")
-        stray = sorted(lvl for lvl in self.store.support_levels(self.sink) if lvl % 2)
+        if type(self.sink) is not tuple or any(type(e) is not int or not 0 < abs(e) < slots
+                                               for e in self.sink):
+            raise ValueError(f"sink {self.sink!r} is not a tuple of edges of the store")
+        stray = sorted({lvl for e in self.sink for lvl in self.store.support_levels(e) if lvl % 2})
         if stray:
             raise ValueError(f"sink set mentions next levels {stray}")
         current = tuple(range(0, n, 2))
@@ -280,6 +286,13 @@ class LayerSequence:
     complete: bool
 
 
+def _outside_sink(ts: TransitionSystem, f: int) -> int:
+    """``f`` without the sink set: ANDed with each disjunct's complement in turn."""
+    for disjunct in ts.sink:
+        f = ts.store.apply("and", f, -disjunct)
+    return f
+
+
 def _image_windows(ts: TransitionSystem, windows: list[CountTable],
                    strategy: PartitionStrategy) -> tuple[tuple[int, ...], list[int], int]:
     """One forward step from a layer's windows, given as their count tables.
@@ -299,11 +312,11 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
     store, levels = ts.store, ts.current
     if strategy.kind in LEX_KINDS:
         parts = strategy.parts_of(store, windows, levels)
-        nonterminal = sources = [store.apply("and", part, -ts.sink) for part in parts]
+        nonterminal = sources = [_outside_sink(ts, part) for part in parts]
         cuts = [extreme_member(store, part, levels, 1) for part in parts[:-1]]
     else:
         whole = windows[0].root
-        care = store.apply("and", whole, -ts.sink)
+        care = _outside_sink(ts, whole)
         sources = [care if part == whole else store.apply("and", part, care)
                    for part in strategy.parts_of(store, windows, levels)]
         nonterminal, cuts = [care], []
@@ -338,16 +351,15 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
 
 def _preimages(ts: TransitionSystem, s: int, strategy: PartitionStrategy,
                relations: tuple[Move, ...] | None = None,
-               care: int | None = None) -> tuple[int, int]:
+               care: int = TRUE) -> tuple[int, int]:
     """Partition ``s`` and OR its per-part, per-player preimages into one set.
 
     ``s`` is partitioned over the current variables; ``relations``
     defaults to ``ts.relations``, one :class:`Move` per player.  Each
     product reads the part's written current levels as next levels,
     quantifies those, and takes the ternary product with ``care``, a
-    set over the current variables (default: every state outside the
-    sink set), so each preimage is restricted to ``care`` as it is built
-    and is never taken over the whole state space.  A relation that
+    set over the current variables (default: every state), so each
+    preimage is restricted to ``care`` as it is built.  A relation that
     writes nothing is a plain conjunction.  Every preimage comes out
     over the current variables.  Returns the preimage and its peak: the
     largest diagram among the (part, player) preimages and the merged
@@ -356,8 +368,6 @@ def _preimages(ts: TransitionSystem, s: int, strategy: PartitionStrategy,
     store = ts.store
     if relations is None:
         relations = ts.relations
-    if care is None:
-        care = -ts.sink
     products = [(rel.edge, {w + 1: w for w in rel.written}, {w: w + 1 for w in rel.written})
                 for rel in relations]
     merged, peak = FALSE, 0
@@ -387,10 +397,11 @@ def preimage(ts: TransitionSystem, s: int,
              strategy: PartitionStrategy = NO_PARTITION) -> int:
     """One-step predecessors of the state set ``s`` (over current variables).
 
-    ``s`` is partitioned by ``strategy`` as in :func:`image`.
+    ``s`` is partitioned by ``strategy`` as in :func:`image`; the sink
+    set is masked out of the merged preimage, one disjunct at a time.
     """
     result, _ = _preimages(ts, s, strategy)
-    return result
+    return _outside_sink(ts, result)
 
 
 def layered_bfs(ts: TransitionSystem, init: int,

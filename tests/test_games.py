@@ -1,5 +1,6 @@
 """Game spec parsing, compilation, and the retrograde solver."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -266,8 +267,47 @@ reward 1 1: 1
         return [[ts.store.evaluate(r.edge, p) for p in points] for r in ts.relations]
 
     assert truth_tables(ended) == truth_tables(endless)
-    assert ended.sink == ended.store.var(ended.current[0])
-    assert endless.sink == FALSE
+    assert ended.sink == (ended.store.var(ended.current[0]),)
+    assert endless.sink == ()  # so no layer step masks anything
+
+
+def _check_sink_disjuncts(spec):
+    """The sink's disjuncts OR to the terminal formula compiled whole; none is FALSE or repeated."""
+    ts = compile_game(spec)
+    store = ts.store
+    assert FALSE not in ts.sink and len(set(ts.sink)) == len(ts.sink)
+    assert merged(store, ts.sink) == formula_edge(ts, spec, spec.terminal)
+    return ts
+
+
+def test_sink_disjuncts_are_the_terminal_formula():
+    specs = [load_game(bundled_game_path(name)) for name in bundled_game_names()]
+    specs += [_generated_spec("connect4x3"), _generated_spec("lightsout4")]
+    for text in _fuzzed_game_texts(2000):
+        try:
+            specs.append(parse_game(text))
+        except GameSpecError:
+            pass
+    split = sum(len(_check_sink_disjuncts(spec).sink) > 1 for spec in specs)
+    assert len(specs) > 100 and split > 30
+    # a repeated or FALSE disjunct is dropped, and a formula that is not an
+    # OR is one disjunct
+    text = """
+vars: a, b
+player 1 action seta: pre = !a; eff = a := 1
+reward 1 1: 1
+"""
+    for terminal, count in (("a | 0 | a | (b & !b)", 1), ("0 | 0", 0), ("a & b", 1),
+                            ("(a | b)", 2), ("!(a | b)", 1), ("a | b | 1", 3)):
+        assert len(_check_sink_disjuncts(parse_game(f"{text}terminal: {terminal}\n")).sink) \
+            == count, terminal
+
+
+def test_compiled_store_holds_no_whole_sink():
+    # the OR of connect's two line formulas is product-sized under the
+    # interleaved order: 9,451 and 400,419 nodes when compiled whole
+    assert compile_game(_generated_spec("connect4x3")).store.node_count() <= 3_500
+    assert compile_game(_generated_spec("connect5x4")).store.node_count() <= 25_000
 
 
 def test_terminal_states_have_no_outgoing_transitions():
@@ -554,13 +594,15 @@ def _check_classes_against_every_preimage(ts, layers, sol, strategy):
 
 
 def _generated_spec(name):
-    """The benchmark's generated connect4x3 or lightsout4, seed 1."""
+    """The benchmark's generated connect4x3 or lightsout4, or connect5x4 (k=3); seed 1."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import gen
     finally:
         del sys.path[0]
-    text = gen.connect_game(4, 3, 3, 1) if name == "connect4x3" else gen.lightsout_game(4, 7, 1)
+    text = {"connect4x3": lambda: gen.connect_game(4, 3, 3, 1),
+            "connect5x4": lambda: gen.connect_game(5, 4, 3, 1),
+            "lightsout4": lambda: gen.lightsout_game(4, 7, 1)}[name]()
     return parse_game(text, name=name)
 
 
@@ -677,7 +719,7 @@ def _check_windows(ts, spec, layers):
         layer = merged(store, windows)
         assert precompute_counts(store, layer, ts.current).root_count == len(states)
         assert all(store.evaluate(layer, _full_assignment(store, bits, bits)) for bits in states)
-        assert merged(store, rest) == store.apply("and", layer, -ts.sink)
+        assert merged(store, rest) == store.apply("and", layer, -merged(store, ts.sink))
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -716,7 +758,7 @@ def test_a_solve_compiles_each_distinct_reward_operand_once(name, monkeypatch):
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec))
     operands = [operand for rewards in spec.rewards.values() for _, formula in rewards
-                for operand in lexbdd.games._conjuncts(formula)]
+                for operand in lexbdd.games._operands(formula, "and")]
     assert len(set(operands)) < len(operands)  # some operand appears in two rewards
     compiled = []
 
@@ -859,13 +901,19 @@ def test_solve_uses_one_quantification_kernel(monkeypatch):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_solve_never_walks_the_sink_set(strategy, monkeypatch):
-    # both halves of each layer come from the forward search, and the reward
-    # classes are built over the reachable terminal states only
+    # the backward phase never masks a layer with the sink: both halves of
+    # each layer come from the forward search, so a solve through a twin
+    # with no sink set classifies every layer alike.  A disjunct's
+    # complement may still be a reward operand (tictactoe's !ow is -ow), so
+    # the check is on the mask and on the whole sink set, not on operands.
     spec = load_game(bundled_game_path("tictactoe"))
     ts = compile_game(spec)
+    store = ts.store
     strat = PartitionStrategy.parse(strategy)
     layers = layered_bfs(ts, initial_edge(ts, spec), strat)
-    operands = []
+    whole = merged(store, ts.sink)
+    assert len(ts.sink) > 1 and whole not in (FALSE, TRUE)
+    operands, masked = [], []
     apply, and_exists = BddStore.apply, BddStore.and_exists
 
     def recording_apply(store, op, f, g):
@@ -878,10 +926,18 @@ def test_solve_never_walks_the_sink_set(strategy, monkeypatch):
 
     monkeypatch.setattr(BddStore, "apply", recording_apply)
     monkeypatch.setattr(BddStore, "and_exists", recording_and_exists)
+    outside_sink = lexbdd.search._outside_sink
+
+    def recording_mask(ts, f):
+        masked.append(f)
+        return outside_sink(ts, f)
+
+    monkeypatch.setattr(lexbdd.search, "_outside_sink", recording_mask)
     sol = solve(ts, spec, layers, strat)
-    assert sol.complete
-    assert ts.sink not in (FALSE, TRUE)
-    assert operands and ts.sink not in operands and -ts.sink not in operands
+    twin = solve(dataclasses.replace(ts, sink=()), spec, layers, strat)
+    assert sol.complete and not masked
+    assert operands and whole not in operands and -whole not in operands
+    assert twin.layer_classes == sol.layer_classes
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -964,7 +1020,7 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
         points.append(_full_assignment(store, state, (game.successors(state) or [state])[0]))
         points.append(_full_assignment(store, state, [rng.randint(0, 1) for _ in state]))
     init = initial_edge(ts, spec)
-    held = [init, formula_edge(ts, spec, spec.rewards[1][0][1]), ts.sink,
+    held = [init, formula_edge(ts, spec, spec.rewards[1][0][1]), *ts.sink,
             *(rel.edge for rel in ts.relations),
             *(edge for _, edge, _ in action_relations(ts, spec))]
 

@@ -104,12 +104,13 @@ def _framed_product(ts, edge, part, forward):
     """The plain product of a framed ``edge`` with ``part``, renamed to the current variables."""
     store = ts.store
     nxt = [lvl + 1 for lvl in ts.current]
+    outside = -merged(store, ts.sink)
     if forward:
-        source = store.apply("and", part, -ts.sink)
+        source = store.apply("and", part, outside)
         sub = store.and_exists(set(ts.current), edge, source)
         return store.rename(sub, dict(zip(nxt, ts.current)))
     source = store.rename(part, dict(zip(ts.current, nxt)))
-    return store.apply("and", store.and_exists(set(nxt), edge, source), -ts.sink)
+    return store.apply("and", store.and_exists(set(nxt), edge, source), outside)
 
 
 def _subimages_reference(ts, spec, parts, forward, cuts=()):
@@ -167,7 +168,7 @@ def test_subimages_match_the_framed_reference(name):
             tables = [precompute_counts(store, w, ts.current) for w in windows]
             assert _image_windows(ts, tables, strategy)[1:] == \
                 _subimages_reference(ts, spec, parts, True, cuts)
-            assert _preimages(ts, layer, strategy) == \
+            assert _preimages(ts, layer, strategy, care=-merged(store, ts.sink)) == \
                 _subimages_reference(ts, spec, parts, False)
         solve(ts, spec, layers, strategy)
         store.check()
@@ -181,15 +182,17 @@ def test_backward_subimages_are_restricted_to_the_care_set(name):
         store = ts.store
         strategy = PartitionStrategy.parse(text)
         layers = [merged(store, w) for w in layered_bfs(ts, initial_edge(ts, spec), strategy).layers]
+        outside = -merged(store, ts.sink)
         for d, layer in enumerate(layers):
-            movers = store.apply("and", layer, -ts.sink)
+            movers = store.apply("and", layer, outside)
             for s in layers[d:d + 2]:
                 whole, _ = _preimages(ts, s, strategy, care=TRUE)
                 assert _preimages(ts, s, strategy, care=movers)[0] == \
                     store.apply("and", movers, whole)
-                # by default a preimage is restricted to the states outside the sink set
-                assert _preimages(ts, s, strategy)[0] == \
-                    store.apply("and", -ts.sink, whole)
+                # by default no care set restricts it, and the public
+                # preimage masks the sink set out of it afterwards
+                assert _preimages(ts, s, strategy)[0] == whole
+                assert preimage(ts, s, strategy) == store.apply("and", outside, whole)
         store.check()
 
 
@@ -334,7 +337,7 @@ def test_kept_nonterminal_halves_are_the_layers_outside_the_sink(strategy, monke
     assert layers.complete and compactions
     store.check()
     assert [merged(store, w) for w in layers.nonterminal] == \
-        [store.apply("and", merged(store, w), -ts.sink) for w in layers.layers]
+        [store.apply("and", merged(store, w), -merged(store, ts.sink)) for w in layers.layers]
     partial = layered_bfs(ts, init, limits=SearchLimits(time_s=0.0))
     assert not partial.complete and partial.nonterminal == []
 
@@ -553,9 +556,11 @@ def test_images_never_rename(monkeypatch):
 def test_sink_states_have_no_successors(counter):
     spec, ts = counter
     store = ts.store
-    # the counter's own terminal state plus two more
-    sink = _state_set(ts, [(0, 1, 0), (1, 0, 0), (1, 1, 1)])
-    sunk = TransitionSystem(store=store, relations=ts.relations, sink=sink)
+    # the counter's own terminal state plus two more, one disjunct each
+    states = [(0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    sink = _state_set(ts, states)
+    sunk = TransitionSystem(store=store, relations=ts.relations,
+                            sink=tuple(_state_set(ts, [state]) for state in states))
     assert image(sunk, sink) == FALSE
     for text in ("none", "fold-states-lex:2", "states-lex:1", "disj-var"):
         strategy = PartitionStrategy.parse(text)
@@ -580,7 +585,13 @@ def test_transition_system_rejects_stray_levels():
         TransitionSystem(BddStore(3), ())
     store = BddStore(4)
     with pytest.raises(ValueError, match=r"sink set mentions next levels \[3\]"):
-        TransitionSystem(store, (), sink=store.apply("and", store.var(0), store.var(3)))
+        TransitionSystem(store, (), sink=(store.var(0), store.apply("and", store.var(0),
+                                                                    store.var(3))))
+    # a sink that is not a tuple of the store's edges: a bare edge, a list,
+    # a slot past the store's end, no edge at all, a bool, a float
+    for sink in (store.var(0), [store.var(0)], (store.var(0), 10 ** 6), (0,), (True,), (2.0,)):
+        with pytest.raises(ValueError, match=r"^sink .* is not a tuple of edges of the store$"):
+            TransitionSystem(store, (), sink=sink)
     # written levels that are unsorted, repeated, next levels or out of range
     edge = store.apply("and", store.var(1), store.var(3))
     for written in ((2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 4), (-2, 0, 2)):

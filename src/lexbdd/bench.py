@@ -52,7 +52,7 @@ class RunReport:
 
 
 def run(config: RunConfig) -> RunReport:
-    """Forward BFS then retrograde solve under one strategy and budget.
+    """Forward BFS under one strategy, then retrograde solve, under one budget.
 
     Runs the solver's layer loop only and builds no value sets: the
     initial value is the class of layer 0's single state.
@@ -71,7 +71,7 @@ def run(config: RunConfig) -> RunReport:
         remaining = config.time_budget_s - (time.perf_counter() - start)
         if remaining > 0:
             _, layer_classes, stats, solved = _classify_layers(
-                ts, spec, layers, config.strategy, SearchLimits(remaining, config.node_budget))
+                ts, spec, layers, SearchLimits(remaining, config.node_budget))
             rows.extend(stats)
             if solved:
                 initial_value = next(key for key, edge in layer_classes[0].items()

@@ -49,8 +49,8 @@ from importlib import resources
 
 from .bdd import FALSE, TRUE, BddStore
 from .partition import join_windows
-from .search import (LayerSequence, LayerStat, Move, NO_PARTITION, PartitionStrategy,
-                     SearchLimits, TransitionSystem, _LayerSteps, _preimages)
+from .search import (LayerSequence, LayerStat, Move, SearchLimits, TransitionSystem,
+                     _LayerSteps, _preimages)
 
 
 class GameSpecError(ValueError):
@@ -70,6 +70,9 @@ _NOT = {"!", "¬"}
 _AND = {"&", "∧"}
 _OR = {"|", "∨"}
 _IMP = {"->", "→"}
+
+# deepest parenthesis nesting a formula may have, whatever the caller's stack
+MAX_NESTING = 200
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
@@ -94,9 +97,18 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
     ``('imp', f1, ..., fk)``, which reads ``f1 -> (f2 -> ... fk)``, each
     with ``k >= 2``.  A run of ``!`` keeps only its parity.  Only
     parentheses nest nodes, so the tree is as deep as the text's
-    parentheses.
+    parentheses, which may nest up to :data:`MAX_NESTING` levels; the
+    depth is measured on the tokens before the parser recurses.
     """
     tokens = _tokenize(text, line_no)
+    depth = 0
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise GameSpecError(f"line {line_no}: formula nested too deeply")
+        elif tok == ")":
+            depth -= 1
     known = set(variables)
     index = 0
 
@@ -155,7 +167,7 @@ def parse_formula(text: str, variables: Sequence[str], line_no: int = 0):
 
     try:
         result = implication()
-    except RecursionError:
+    except RecursionError:  # a backstop: MAX_NESTING levels fit the default recursion limit
         raise GameSpecError(f"line {line_no}: formula nested too deeply") from None
     if peek() is not None:
         raise GameSpecError(f"line {line_no}: trailing tokens after formula: {tokens[index:]}")
@@ -503,7 +515,6 @@ def _preference_order(keys, player: int):
 
 
 def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
-          strategy: PartitionStrategy = NO_PARTITION,
           limits: SearchLimits | None = None) -> SolutionTable:
     """Classify every reachable state by its game value.
 
@@ -522,13 +533,13 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     already-classified successor of that class.
     The states where a player can move are its move relation (see
     :class:`~lexbdd.search.Move`) with the next variables quantified.
-    Each such preimage is taken through that relation, with the
-    player's still-unassigned states of the layer as the care set of
-    the relational product, so it never leaves them (nor meets the sink
-    set) and needs no AND with them afterwards; a player's class loop
-    stops once every state is assigned.  A layer with a move back to
-    it or to an earlier layer (see
-    :attr:`~lexbdd.search.LayerSequence.leads_back`) raises
+    Each such preimage is one relational product through that relation,
+    whatever partition strategy made the layers, with the player's
+    still-unassigned states of the layer as its care set, so it never
+    leaves them (nor meets the sink set) and needs no AND with them
+    afterwards; a player's class loop stops once every state is
+    assigned.  A layer with a move back to it or to an earlier layer
+    (see :attr:`~lexbdd.search.LayerSequence.leads_back`) raises
     :class:`GameSolveError`.  So every successor of layer ``d`` lies in
     the classified layer ``d + 1``, and each player's last class with
     states there takes, with no preimage, every state the better
@@ -545,8 +556,7 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     entry.  ``lexbdd solve`` runs only the layer loop,
     :func:`_classify_layers`, and builds no value set.
     """
-    class_keys, layer_classes, stats, complete = _classify_layers(ts, spec, layers,
-                                                                  strategy, limits)
+    class_keys, layer_classes, stats, complete = _classify_layers(ts, spec, layers, limits)
     value_sets = _value_sets(ts.store, class_keys, layer_classes)
     ts.store.clear_caches()
     return SolutionTable(ts=ts, spec=spec, class_keys=class_keys,
@@ -567,7 +577,7 @@ def _value_sets(store: BddStore, class_keys, layer_classes: list[dict]):
 
 
 def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
-                     strategy: PartitionStrategy, limits: SearchLimits | None):
+                     limits: SearchLimits | None):
     """The layer loop of :func:`solve`, which builds no value set.
 
     Returns the class keys, each layer's classes (a dict per layer; a
@@ -577,7 +587,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     by their formulas.  Layer ``d``'s step ORs the layer's windows, and
     its non-terminal windows, once (see
     :class:`~lexbdd.search.LayerSequence`) and keeps neither union past
-    the step.  The caches keep the last step's entries.
+    the step.  Each class preimage is sized once, for the row's
+    ``max_image_nodes``.  The caches keep the last step's entries.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
@@ -640,9 +651,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
                     if mine == FALSE:
                         break
                     # restricted to mine inside the product, so pred <= mine
-                    pred, sub_peak = _preimages(ts, following[key], strategy,
-                                                relations=(relations[p],), care=mine)
-                    peak = max(peak, sub_peak)
+                    pred = _preimages(ts, following[key], relations=(relations[p],), care=mine)
+                    peak = max(peak, store.size(pred))
                     if pred != FALSE:
                         classes[key] = store.apply("or", classes[key], pred)
                         mine = store.apply("and", mine, -pred)

@@ -11,7 +11,8 @@ disjunct's complement, and a backward product excludes the sink through
 its care set, during the product rather than after it.  An image
 distributes over both the players' move relations and an optional
 partition of the source set, and computes one relational product per
-(part, player) pair.  Each product quantifies only the levels its
+(part, player) pair; a preimage takes one product per player and never
+partitions its target set.  Each product quantifies only the levels its
 player writes and moves those variables between their current and next
 copies itself, so every subimage comes out over the current variables
 and nothing is renamed.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -142,32 +144,27 @@ class PartitionStrategy:
             return self.kind
         return f"{self.kind}:{self.param}"
 
-    def parts_of(self, store: BddStore, f: int | CountTable | list,
+    def parts_of(self, store: BddStore, tables: Sequence[CountTable],
                  levels: tuple[int, ...]) -> list[int]:
-        """Partition ``f`` (a state set over ``levels``) into disjoint parts.
+        """Partition a state set over ``levels`` into disjoint parts.
 
-        ``f`` may also be a :class:`CountTable` of the state set over
-        ``levels``, or a list or tuple of sets or tables that are the lex
-        windows of one set (see :class:`LayerSequence`).  The lex
-        strategies use the tables' counts instead of counting again, and
-        cut the windows where they would cut the windows' OR, into the
-        same parts, without building it.  ``none`` and ``disj-var`` take
-        one window.
+        ``tables`` count the set's lex windows over ``levels`` (see
+        :class:`LayerSequence`).  The lex strategies cut the windows
+        where they would cut the windows' OR, into the same parts,
+        without building it.  ``none`` and ``disj-var`` take one window.
+        Only the forward image partitions its sources.
         """
-        windows = f if isinstance(f, (list, tuple)) else [f]
-        if self.kind not in LEX_KINDS:
-            if len(windows) != 1:
-                raise ValueError(f"strategy {self} partitions one set, not {len(windows)}")
-            f = windows[0].root if isinstance(windows[0], CountTable) else windows[0]
-            if self.kind == "none" or f == FALSE:
-                return [f]
-            pair = disj_var(store, f, levels)
-            return [pair.left, pair.right]
-        tables = [w if isinstance(w, CountTable) else precompute_counts(store, w, levels)
-                  for w in windows]
         if self.kind == "fold-states-lex":
             return list(fold_states_lex(tables, self.param).parts)
-        return list(states_lex_bounded(tables, self.param).parts)
+        if self.kind == "states-lex":
+            return list(states_lex_bounded(tables, self.param).parts)
+        if len(tables) != 1:
+            raise ValueError(f"strategy {self} partitions one set, not {len(tables)}")
+        f = tables[0].root
+        if self.kind == "none" or f == FALSE:
+            return [f]
+        pair = disj_var(store, f, levels)
+        return [pair.left, pair.right]
 
 
 NO_PARTITION = PartitionStrategy("none")
@@ -239,16 +236,16 @@ class LayerStat:
     """Per-layer measurements of one search direction.
 
     ``max_image_nodes`` is the largest diagram, in nodes, among the
-    layer's subimages, one per (part, player), and the images they
-    are ORed into: forward, the image's lex windows, of which there is
-    one under ``none`` and ``disj-var`` (see :class:`LayerSequence`);
-    backward, the merged preimage of a class.  It does not depend on the
-    order of the actions, the players or the merge.  No forward step
-    builds its merged image, so under a lex strategy the forward peak is
-    the largest subimage or window image.  A backward row counts only
-    the preimages built; a player's last class takes its states without
-    one.  ``total_nodes`` is the store's node count at the end of the
-    step, after any compaction at its start.
+    images a step builds.  Forward, those are the layer's subimages,
+    one per (part, player), and the lex windows they are ORed into, of
+    which there is one under ``none`` and ``disj-var`` (see
+    :class:`LayerSequence`); no forward step builds its merged image.
+    Backward, they are the preimages of the classes, each through one
+    player's relation in one product whatever the strategy; a player's
+    last class takes its states without one.  It does not depend on the
+    order of the actions, the players or the merge.  ``total_nodes`` is
+    the store's node count at the end of the step, after any compaction
+    at its start.
     """
     direction: str
     index: int
@@ -349,37 +346,26 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
     return tuple(w for w in nonterminal if w != FALSE), images, peak
 
 
-def _preimages(ts: TransitionSystem, s: int, strategy: PartitionStrategy,
-               relations: tuple[Move, ...] | None = None,
-               care: int = TRUE) -> tuple[int, int]:
-    """Partition ``s`` and OR its per-part, per-player preimages into one set.
+def _preimages(ts: TransitionSystem, s: int, relations: tuple[Move, ...] | None = None,
+               care: int = TRUE) -> int:
+    """The OR of the preimages of ``s`` through each relation, one product each.
 
-    ``s`` is partitioned over the current variables; ``relations``
-    defaults to ``ts.relations``, one :class:`Move` per player.  Each
-    product reads the part's written current levels as next levels,
-    quantifies those, and takes the ternary product with ``care``, a
-    set over the current variables (default: every state), so each
-    preimage is restricted to ``care`` as it is built.  A relation that
-    writes nothing is a plain conjunction.  Every preimage comes out
-    over the current variables.  Returns the preimage and its peak: the
-    largest diagram among the (part, player) preimages and the merged
-    one, whatever the order of the parts and the players.
+    ``s`` is a set over the current variables, never partitioned;
+    ``relations`` defaults to ``ts.relations``, one :class:`Move` per
+    player.  Each product reads ``s``'s written current levels as next
+    levels, quantifies those, and takes the ternary product with
+    ``care``, a set over the current variables (default: every state),
+    so each preimage is restricted to ``care`` as it is built.  A
+    relation that writes nothing is a plain conjunction.  The result is
+    over the current variables.
     """
     store = ts.store
-    if relations is None:
-        relations = ts.relations
-    products = [(rel.edge, {w + 1: w for w in rel.written}, {w: w + 1 for w in rel.written})
-                for rel in relations]
-    merged, peak = FALSE, 0
-    for part in strategy.parts_of(store, s, ts.current):
-        if part == FALSE:
-            continue
-        for edge, quantified, read in products:
-            sub = store.and_exists(quantified, edge, part, care, read, None)
-            peak = max(peak, store.size(sub))
-            merged = store.apply("or", merged, sub)
-    peak = max(peak, store.size(merged))
-    return merged, peak
+    merged = FALSE
+    for rel in ts.relations if relations is None else relations:
+        sub = store.and_exists({w + 1: w for w in rel.written}, rel.edge, s, care,
+                               {w: w + 1 for w in rel.written}, None)
+        merged = store.apply("or", merged, sub)
+    return merged
 
 
 def image(ts: TransitionSystem, s: int,
@@ -393,15 +379,13 @@ def image(ts: TransitionSystem, s: int,
     return join_windows(ts.store, images)
 
 
-def preimage(ts: TransitionSystem, s: int,
-             strategy: PartitionStrategy = NO_PARTITION) -> int:
+def preimage(ts: TransitionSystem, s: int) -> int:
     """One-step predecessors of the state set ``s`` (over current variables).
 
-    ``s`` is partitioned by ``strategy`` as in :func:`image`; the sink
+    One relational product per player, ``s`` never partitioned; the sink
     set is masked out of the merged preimage, one disjunct at a time.
     """
-    result, _ = _preimages(ts, s, strategy)
-    return _outside_sink(ts, result)
+    return _outside_sink(ts, _preimages(ts, s))
 
 
 def layered_bfs(ts: TransitionSystem, init: int,

@@ -195,7 +195,7 @@ def test_criterion_6_partition_invariance_of_search():
         for text in STRATEGIES:
             strategy = PartitionStrategy.parse(text)
             layers = layered_bfs(ts, init, strategy)
-            solution = solve(ts, spec, layers, strategy)
+            solution = solve(ts, spec, layers)
             ts.store.check()
             runs[text] = (layers, solution)
         base_layers, base_solution = runs["none"]

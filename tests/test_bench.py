@@ -141,7 +141,7 @@ def test_runs_build_no_value_sets(monkeypatch):
             strategy = PartitionStrategy.parse(text)
             ts = compile_game(spec)
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-            expected[name, text] = solve(ts, spec, layers, strategy).initial_value()
+            expected[name, text] = solve(ts, spec, layers).initial_value()
 
     def no_value_sets(*args):
         raise AssertionError("value sets built")

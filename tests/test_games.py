@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import lexbdd.counting
 import lexbdd.games
 import lexbdd.search
 from lexbdd import BddStore, GameSolveError, GameSpecError, bundled_game_names, \
@@ -33,7 +34,7 @@ def _solved(name, strategy=None):
     ts = compile_game(spec)
     strat = PartitionStrategy.parse(strategy) if strategy else PartitionStrategy("none")
     layers = layered_bfs(ts, initial_edge(ts, spec), strat)
-    sol = solve(ts, spec, layers, strat)
+    sol = solve(ts, spec, layers)
     ts.store.check()
     return spec, ts, layers, sol
 
@@ -66,17 +67,23 @@ def test_parse_formula_builds_one_node_per_chain():
         assert parse_formula(text, ("a", "b", "c")) == shape, text
 
 
-def test_formula_in_240_parentheses_parses():
-    # on a fresh thread, so that the test runner's own frames do not count
-    # against the default recursion limit
-    depth = 240
-    parsed = []
-    thread = threading.Thread(
-        target=lambda: parsed.append(parse_formula("(" * depth + "a" + ")" * depth, ("a",))))
+def test_formula_in_200_parentheses_parses():
+    # 200 levels parse from the test runner's own stack
+    assert parse_formula("(" * 200 + "a" + ")" * 200, ("a",)) == ("var", "a")
+    # 201 are rejected by count, even on a fresh thread with room to recurse
+    errors = []
+
+    def deeper():
+        try:
+            parse_formula("(" * 201 + "a" + ")" * 201, ("a",), 5)
+        except GameSpecError as exc:
+            errors.append(str(exc))
+
+    thread = threading.Thread(target=deeper)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert parsed == [("var", "a")]
+    assert errors == ["line 5: formula nested too deeply"]
 
 
 def test_parse_formula_constants_and_precedence():
@@ -561,7 +568,7 @@ def test_solve_partition_strategies_agree():
         assert other.initial_value() == base.initial_value()
 
 
-def _check_classes_against_every_preimage(ts, layers, sol, strategy):
+def _check_classes_against_every_preimage(ts, layers, sol):
     """Classify each player's states of every layer with every preimage ``solve`` may skip.
 
     In the player's preference order, each class with states in the next
@@ -584,8 +591,7 @@ def _check_classes_against_every_preimage(ts, layers, sol, strategy):
             keys = [key for key in _preference_order(sol.class_keys, rel.player)
                     if following[key] != FALSE]
             for key in keys:
-                pred, _ = _preimages(ts, following[key], strategy,
-                                     relations=(rel,), care=mine)
+                pred = _preimages(ts, following[key], relations=(rel,), care=mine)
                 assert store.apply("and", sol.layer_classes[d][key], start) == pred
                 mine = store.apply("and", mine, -pred)
             assert mine == FALSE  # so the last preimage returned its whole care set
@@ -611,8 +617,8 @@ def _last_classes_taken(spec, strategy):
     strategy = PartitionStrategy.parse(strategy)
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-    sol = solve(ts, spec, layers, strategy)
-    return _check_classes_against_every_preimage(ts, layers, sol, strategy)
+    sol = solve(ts, spec, layers)
+    return _check_classes_against_every_preimage(ts, layers, sol)
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -674,7 +680,7 @@ def test_terminal_classes_match_the_whole_space_reference_on_larger_games(name, 
     strategy = PartitionStrategy.parse(strategy)
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-    _check_terminal_classes(ts, spec, layers, solve(ts, spec, layers, strategy))
+    _check_terminal_classes(ts, spec, layers, solve(ts, spec, layers))
 
 
 def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
@@ -688,7 +694,7 @@ def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
         ts = compile_game(spec)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
         try:
-            sol = solve(ts, spec, layers, strategy)
+            sol = solve(ts, spec, layers)
         except GameSolveError:
             continue
         _check_terminal_classes(ts, spec, layers, sol)
@@ -798,7 +804,7 @@ def test_classes_are_built_by_value_when_a_value_repeats(strategy):
     ts = compile_game(spec)
     strat = PartitionStrategy.parse(strategy)
     layers = layered_bfs(ts, initial_edge(ts, spec), strat)
-    sol = solve(ts, spec, layers, strat)
+    sol = solve(ts, spec, layers)
     ts.store.check()
     assert sol.class_keys == ((0, 100), (0, 0), (100, 100), (100, 0))
     game = ExplicitGame(spec)
@@ -887,10 +893,10 @@ def test_solve_uses_one_quantification_kernel(monkeypatch):
     monkeypatch.setattr(lexbdd.search, "_image_windows", recording(
         lexbdd.search._image_windows, lambda result: merged(store, result[1])))
     monkeypatch.setattr(lexbdd.games, "_preimages", recording(
-        lexbdd.games._preimages, lambda result: result[0]))
+        lexbdd.games._preimages, lambda result: result))
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
     forward = snapshots[:]
-    solve(ts, spec, layers, strategy)
+    solve(ts, spec, layers)
     ts.store.check()
     backward = snapshots[len(forward):]
     for phase in (forward, backward):
@@ -933,11 +939,40 @@ def test_solve_never_walks_the_sink_set(strategy, monkeypatch):
         return outside_sink(ts, f)
 
     monkeypatch.setattr(lexbdd.search, "_outside_sink", recording_mask)
-    sol = solve(ts, spec, layers, strat)
-    twin = solve(dataclasses.replace(ts, sink=()), spec, layers, strat)
+    sol = solve(ts, spec, layers)
+    twin = solve(dataclasses.replace(ts, sink=()), spec, layers)
     assert sol.complete and not masked
     assert operands and whole not in operands and -whole not in operands
     assert twin.layer_classes == sol.layer_classes
+
+
+@pytest.mark.parametrize("name", ["connect4x3", "lightsout4"])
+def test_the_backward_phase_never_partitions(name, monkeypatch):
+    # solve takes one preimage per (class, player), whatever strategy made
+    # the layers: it neither partitions nor counts, and its backward rows
+    # are the same under every strategy
+    spec = _generated_spec(name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the backward phase partitioned or counted a set")
+
+    rows, values = {}, set()
+    for text in STRATEGIES:
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
+        with monkeypatch.context() as patch:
+            patch.setattr(PartitionStrategy, "parts_of", forbidden)
+            for module in (lexbdd.counting, lexbdd.search):
+                patch.setattr(module, "precompute_counts", forbidden)
+                patch.setattr(module, "count_windows", forbidden)
+            sol = solve(ts, spec, layers)
+        assert sol.complete
+        rows[text] = [(row.direction, row.index, row.max_image_nodes, row.states)
+                      for row in sol.stats]
+        values.add(sol.initial_value())
+    assert len(values) == 1
+    assert {row[0] for row in rows["none"]} == {"backward"}
+    assert all(got == rows["none"] for got in rows.values())
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -955,7 +990,7 @@ def test_each_layer_step_starts_with_empty_caches(name, monkeypatch):
         ts = compile_game(spec)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy, CacheProbe())
         forward_nodes = ts.store.node_count()
-        sol = solve(ts, spec, layers, strategy, CacheProbe())
+        sol = solve(ts, spec, layers, CacheProbe())
         ts.store.check()
         return layers, forward_nodes, sol, ts.store.node_count()
 
@@ -985,7 +1020,7 @@ def test_solve_returns_a_checked_store_with_empty_caches(name):
         strategy = PartitionStrategy.parse(text)
         ts = compile_game(spec)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-        sol = solve(ts, spec, layers, strategy)
+        sol = solve(ts, spec, layers)
         assert sol.complete
         assert (len(ts.store._ite_cache), len(ts.store._op_cache)) == (0, 0)
         ts.store.check()
@@ -1042,7 +1077,7 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
     for text in ("fold-states-lex:64", *STRATEGIES):
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, init, strategy)
-        sol = solve(ts, spec, layers, strategy)
+        sol = solve(ts, spec, layers)
         store.check()
         assert sol.complete
         assert truth_tables() == before
@@ -1152,7 +1187,7 @@ def test_value_sets_agree_with_the_layer_scan(name):
     for text in STRATEGIES:
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-        sol = solve(ts, spec, layers, strategy)
+        sol = solve(ts, spec, layers)
         store.check()
         union = FALSE
         edges = [edge for _, edge in sol.value_sets]

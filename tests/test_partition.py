@@ -328,8 +328,9 @@ def _check_windows_partition_like_their_merged_set(store, windows, levels, sizes
     """The lex partitions of ``windows`` against those of their OR, for each size.
 
     Each partition's cuts and parts equal the merged set's; the parts a
-    lex strategy takes from the windows, as edges or count tables, are
-    the same edges; and each part's greatest member is its cut.
+    lex strategy takes from the windows' count tables, in a list or a
+    tuple, are the same edges; and each part's greatest member is its
+    cut.
     """
     tables = [precompute_counts(store, w, levels) for w in windows]
     whole = precompute_counts(store, merged(store, windows), levels)
@@ -340,7 +341,7 @@ def _check_windows_partition_like_their_merged_set(store, windows, levels, sizes
             assert partition(tables, size) == want
             strategy = PartitionStrategy(kind, size)
             assert strategy.parts_of(store, tables, levels) == list(want.parts)
-            assert strategy.parts_of(store, tuple(windows), levels) == list(want.parts)
+            assert strategy.parts_of(store, tuple(tables), levels) == list(want.parts)
             assert [extreme_member(store, part, levels, 1) for part in want.parts[:-1]] == \
                 list(want.cuts[:-1])
 

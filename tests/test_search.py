@@ -75,7 +75,8 @@ def test_image_distributes_over_partitions(counter):
     whole = image(ts, s)
     for text in ("fold-states-lex:2", "fold-states-lex:8", "states-lex:1", "disj-var"):
         strategy = PartitionStrategy.parse(text)
-        assert len(strategy.parts_of(store, s, ts.current)) > 1
+        tables = [precompute_counts(store, s, ts.current)]
+        assert len(strategy.parts_of(store, tables, ts.current)) > 1
         assert image(ts, s, strategy) == whole
 
 
@@ -83,10 +84,11 @@ def test_only_lex_strategies_partition_several_windows(counter):
     _, ts = counter
     store = ts.store
     windows = (_state_set(ts, [(0, 0, 0)]), _state_set(ts, [(1, 0, 0)]))
+    tables = [precompute_counts(store, w, ts.current) for w in windows]
     for text in ("none", "disj-var"):
         with pytest.raises(ValueError, match="partitions one set"):
-            PartitionStrategy.parse(text).parts_of(store, windows, ts.current)
-    assert PartitionStrategy.parse("fold-states-lex:2").parts_of(store, windows, ts.current) == \
+            PartitionStrategy.parse(text).parts_of(store, tables, ts.current)
+    assert PartitionStrategy.parse("fold-states-lex:2").parts_of(store, tables, ts.current) == \
         list(windows)
 
 
@@ -158,19 +160,20 @@ def test_subimages_match_the_framed_reference(name):
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
         for windows in layers.layers:
             layer = merged(store, windows)
-            parts = strategy.parts_of(store, layer, ts.current)
+            tables = [precompute_counts(store, w, ts.current) for w in windows]
+            parts = strategy.parts_of(store, tables, ts.current)
             # a lex strategy's image windows end where its parts end
             cuts = []
             if text not in ("none", "disj-var"):
                 for part in parts[:-1]:
                     table = precompute_counts(store, part, ts.current)
                     cuts.append(unrank(table, table.root_count - 1))
-            tables = [precompute_counts(store, w, ts.current) for w in windows]
             assert _image_windows(ts, tables, strategy)[1:] == \
                 _subimages_reference(ts, spec, parts, True, cuts)
-            assert _preimages(ts, layer, strategy, care=-merged(store, ts.sink)) == \
-                _subimages_reference(ts, spec, parts, False)
-        solve(ts, spec, layers, strategy)
+            # a preimage never partitions its target set
+            assert _preimages(ts, layer, care=-merged(store, ts.sink)) == \
+                _subimages_reference(ts, spec, [layer], False)[0]
+        solve(ts, spec, layers)
         store.check()
 
 
@@ -186,13 +189,12 @@ def test_backward_subimages_are_restricted_to_the_care_set(name):
         for d, layer in enumerate(layers):
             movers = store.apply("and", layer, outside)
             for s in layers[d:d + 2]:
-                whole, _ = _preimages(ts, s, strategy, care=TRUE)
-                assert _preimages(ts, s, strategy, care=movers)[0] == \
-                    store.apply("and", movers, whole)
+                whole = _preimages(ts, s, care=TRUE)
+                assert _preimages(ts, s, care=movers) == store.apply("and", movers, whole)
                 # by default no care set restricts it, and the public
                 # preimage masks the sink set out of it afterwards
-                assert _preimages(ts, s, strategy)[0] == whole
-                assert preimage(ts, s, strategy) == store.apply("and", outside, whole)
+                assert _preimages(ts, s) == whole
+                assert preimage(ts, s) == store.apply("and", outside, whole)
         store.check()
 
 
@@ -208,7 +210,7 @@ def test_peak_does_not_depend_on_action_order(name):
             game = dataclasses.replace(spec, actions=spec.actions[::-1]) if reverse else spec
             ts = compile_game(game)
             layers = layered_bfs(ts, initial_edge(ts, game), strategy)
-            table = solve(ts, game, layers, strategy)
+            table = solve(ts, game, layers)
             ts.store.check()
             rows.append([(r.direction, r.index, r.max_image_nodes, r.states)
                          for r in layers.stats + table.stats])
@@ -371,7 +373,7 @@ def test_monolithic_image_agrees(name):
         strategy = PartitionStrategy.parse(text)
         for s in (*(merged(ts.store, w) for w in seq.layers), seq.reached):
             assert image(mono_ts, s, strategy) == image(ts, s, strategy)
-            assert preimage(mono_ts, s, strategy) == preimage(ts, s, strategy)
+            assert preimage(mono_ts, s) == preimage(ts, s)
 
 
 # effect shapes: an action without effects, a swap, a toggle next to a
@@ -525,12 +527,12 @@ def test_effect_shapes_match_the_explicit_engine(name):
             pred = [bits for bits in states if set(explicit.successors(bits)) & set(chosen)]
             s = _state_set(ts, chosen)
             assert image(ts, s, strategy) == _state_set(ts, succ)
-            assert preimage(ts, s, strategy) == _state_set(ts, pred)
+            assert preimage(ts, s) == _state_set(ts, pred)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
         assert [merged(ts.store, w) for w in layers.layers] == \
             [_state_set(ts, layer) for layer in explicit.bfs_layers()]
         if name != "idle":  # its idle action loops, which no layered value allows
-            table = solve(ts, spec, layers, strategy)
+            table = solve(ts, spec, layers)
             for layer in explicit.bfs_layers():
                 for bits in layer:
                     assert table.value_of(bits) == explicit.value(bits)
@@ -549,7 +551,7 @@ def test_images_never_rename(monkeypatch):
             strategy = PartitionStrategy.parse(text)
             ts = compile_game(spec)
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-            assert solve(ts, spec, layers, strategy).complete
+            assert solve(ts, spec, layers).complete
             ts.store.check()
 
 
@@ -565,9 +567,9 @@ def test_sink_states_have_no_successors(counter):
     for text in ("none", "fold-states-lex:2", "states-lex:1", "disj-var"):
         strategy = PartitionStrategy.parse(text)
         assert image(sunk, sink, strategy) == FALSE
-        pred = preimage(sunk, TRUE, strategy)
+        pred = preimage(sunk, TRUE)
         assert store.apply("and", pred, sink) == FALSE
-        assert pred == store.apply("and", preimage(ts, TRUE, strategy), -sink)
+        assert pred == store.apply("and", preimage(ts, TRUE), -sink)
 
 
 def test_transition_system_derives_the_interleaved_layout():
@@ -644,9 +646,7 @@ def test_strategy_parts_cover_and_are_disjoint(counter):
     s = _state_set(ts, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)])
     table = precompute_counts(store, s, ts.current)
     for text in ("none", "fold-states-lex:3", "states-lex:2", "disj-var"):
-        parts = PartitionStrategy.parse(text).parts_of(store, s, ts.current)
-        # a count table of s stands for s itself
-        assert PartitionStrategy.parse(text).parts_of(store, table, ts.current) == parts
+        parts = PartitionStrategy.parse(text).parts_of(store, [table], ts.current)
         union = FALSE
         for i, p in enumerate(parts):
             for q in parts[i + 1:]:

@@ -215,8 +215,10 @@ class BddStore:
                 h0 = -h0
         else:
             h1 = h0 = h
-        t = self.ite(f1, g1, h1)
-        e = self.ite(f0, g0, h0)
+        # a constant condition or equal branches need no call, which would
+        # return before reading the cache; f1 is regular, so not FALSE
+        t = g1 if f1 == 1 or g1 == h1 else self.ite(f1, g1, h1)
+        e = g0 if f0 == 1 or g0 == h0 else h0 if f0 == -1 else self.ite(f0, g0, h0)
         # mk_node inline; t needs no complement normalisation, as f1 and g1
         # are regular and so ite(f1, g1, h1) is true on the all-ones assignment
         if t == e:
@@ -329,16 +331,22 @@ class BddStore:
                 c0 = -c0
         else:
             c1 = c0 = c
+        # a branch with a FALSE operand is FALSE without a call
         if quant[top]:
-            r0 = self._and_exists_rec(product, f0, g0, c0)
+            r0 = FALSE if f0 == -1 or g0 == -1 or c0 == -1 else \
+                self._and_exists_rec(product, f0, g0, c0)
             if r0 == TRUE:
                 r = TRUE
             else:
-                r1 = self._and_exists_rec(product, f1, g1, c1)
-                r = self.ite(r1, TRUE, r0)
+                r1 = FALSE if f1 == -1 or g1 == -1 or c1 == -1 else \
+                    self._and_exists_rec(product, f1, g1, c1)
+                # an OR with FALSE is the other side, with no ite call
+                r = r1 if r0 == FALSE else r0 if r1 == FALSE else self.ite(r1, TRUE, r0)
         else:
-            r1 = self._and_exists_rec(product, f1, g1, c1)
-            r0 = self._and_exists_rec(product, f0, g0, c0)
+            r1 = FALSE if f1 == -1 or g1 == -1 or c1 == -1 else \
+                self._and_exists_rec(product, f1, g1, c1)
+            r0 = FALSE if f0 == -1 or g0 == -1 or c0 == -1 else \
+                self._and_exists_rec(product, f0, g0, c0)
             # mk_node inline, as in ite, at the written level
             if r1 == r0:
                 r = r1

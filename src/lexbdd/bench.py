@@ -54,24 +54,28 @@ class RunReport:
 def run(config: RunConfig) -> RunReport:
     """Forward BFS under one strategy, then retrograde solve, under one budget.
 
-    Runs the solver's layer loop only and builds no value sets: the
-    initial value is the class of layer 0's single state.
+    The time budget starts before the game is read, so parsing and
+    compiling spend it too; the search and the solve each get what is
+    left of it.  Runs the solver's layer loop only and builds no value
+    sets: the initial value is the class of layer 0's single state.
     """
+    deadline = time.perf_counter() + config.time_budget_s
+
+    def left() -> SearchLimits:
+        return SearchLimits(max(0.0, deadline - time.perf_counter()), config.node_budget)
+
     spec = load_game(config.game_path)
     ts = compile_game(spec)
     init = initial_edge(ts, spec)
 
-    start = time.perf_counter()
-    limits = SearchLimits(config.time_budget_s, config.node_budget)
-    layers = layered_bfs(ts, init, config.strategy, limits)
+    layers = layered_bfs(ts, init, config.strategy, left())
     rows = list(layers.stats)
     solved = False
     initial_value = None
     if layers.complete:
-        remaining = config.time_budget_s - (time.perf_counter() - start)
-        if remaining > 0:
-            _, layer_classes, stats, solved = _classify_layers(
-                ts, spec, layers, SearchLimits(remaining, config.node_budget))
+        limits = left()
+        if limits.time_s > 0:
+            _, layer_classes, stats, solved = _classify_layers(ts, spec, layers, limits)
             rows.extend(stats)
             if solved:
                 initial_value = next(key for key, edge in layer_classes[0].items()

@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="none | fold-states-lex:K | states-lex:BOUND | disj-var; "
                               "partitions the forward image's sources only")
     solve_p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET_S,
-                         metavar="S", help="wall clock budget in seconds")
+                         metavar="S",
+                         help="wall clock budget in seconds, parse and compile included")
     solve_p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                          metavar="N", help="store size budget in nodes")
     solve_p.add_argument("--csv", metavar="PATH", help="write the per-layer report here")

@@ -532,13 +532,15 @@ def solve(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence,
     class receives the still-unassigned states that can reach an
     already-classified successor of that class.
     The states where a player can move are its move relation (see
-    :class:`~lexbdd.search.Move`) with the next variables quantified.
-    Each such preimage is one relational product through that relation,
-    whatever partition strategy made the layers, with the player's
-    still-unassigned states of the layer as its care set, so it never
-    leaves them (nor meets the sink set) and needs no AND with them
-    afterwards; a player's class loop stops once every state is
-    assigned.  A layer with a move back to it or to an earlier layer
+    :class:`~lexbdd.search.Move`) with the next variables quantified;
+    they are met with a layer only for the players that moved forward
+    from it (:attr:`~lexbdd.search.LayerSequence.movers`), as no other
+    player can move there.  Each such preimage is one relational product
+    through that relation, whatever partition strategy made the layers,
+    with the player's still-unassigned states of the layer as its care
+    set, so it never leaves them (nor meets the sink set) and needs no
+    AND with them afterwards; a player's class loop stops once every
+    state is assigned.  A layer with a move back to it or to an earlier layer
     (see :attr:`~lexbdd.search.LayerSequence.leads_back`) raises
     :class:`GameSolveError`.  So every successor of layer ``d`` lies in
     the classified layer ``d + 1``, and each player's last class with
@@ -587,8 +589,10 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     by their formulas.  Layer ``d``'s step ORs the layer's windows, and
     its non-terminal windows, once (see
     :class:`~lexbdd.search.LayerSequence`) and keeps neither union past
-    the step.  Each class preimage is sized once, for the row's
-    ``max_image_nodes``.  The caches keep the last step's entries.
+    the step.  A player outside ``layers.movers[d]`` takes no AND with
+    the layer's non-terminal half, which would be empty.  Each class
+    preimage is sized once, for the row's ``max_image_nodes``.  The
+    caches keep the last step's entries.
     """
     if not layers.complete:
         raise ValueError("cannot solve from an incomplete layer sequence")
@@ -634,16 +638,19 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
                     f"layer {d}: a move leads back to this or an earlier layer, "
                     f"not to layer {d + 1}")
             following = layer_classes[d + 1]
-            movers = FALSE
+            moving = FALSE
             for p in prefs:
-                mine = store.apply("and", rest, can_move[p])
-                if mine == FALSE:
+                # a player with no non-empty forward product from this
+                # layer can move in none of its states: rest ∧ can_move[p]
+                # is FALSE, so it is not built; for a mover it is not FALSE
+                if p not in layers.movers[d]:
                     continue
-                overlap = store.apply("and", mine, movers)
+                mine = store.apply("and", rest, can_move[p])
+                overlap = store.apply("and", mine, moving)
                 if overlap != FALSE:
                     raise GameSolveError(
                         f"layer {d}: both players can move in the same state")
-                movers = store.apply("or", movers, mine)
+                moving = store.apply("or", moving, mine)
                 # every move leads to layer d + 1, whose states all have a
                 # class, so the last class met takes what the others leave
                 *better, worst = [key for key in prefs[p] if following[key] != FALSE]
@@ -657,7 +664,7 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
                         classes[key] = store.apply("or", classes[key], pred)
                         mine = store.apply("and", mine, -pred)
                 classes[worst] = store.apply("or", classes[worst], mine)
-            if movers != rest:
+            if moving != rest:
                 raise GameSolveError(
                     f"layer {d}: non-terminal states where nobody can move")
         layer_classes[d] = classes

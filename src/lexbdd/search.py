@@ -11,11 +11,17 @@ disjunct's complement, and a backward product excludes the sink through
 its care set, during the product rather than after it.  An image
 distributes over both the players' move relations and an optional
 partition of the source set, and computes one relational product per
-(part, player) pair; a preimage takes one product per player and never
-partitions its target set.  Each product quantifies only the levels its
-player writes and moves those variables between their current and next
-copies itself, so every subimage comes out over the current variables
-and nothing is renamed.
+(part, player that can move there) pair; a preimage takes one product
+per player and never partitions its target set.  Which players can move
+is read off the move relations: a state that a move just made carries
+the next-state literals its relation fixes, such as a turn-taking game's
+control variable, and a relation that requires the other value cannot
+move there (see :func:`_followers`).  So after its first layer the
+search takes products only for the relations that can follow the ones
+that moved, and leaves out only products that are empty.  Each product
+quantifies only the levels its player writes and moves those variables
+between their current and next copies itself, so every subimage comes
+out over the current variables and nothing is renamed.
 The breadth-first search stores each depth layer as a tuple of lex
 windows, disjoint sets in ascending lex order whose OR is the layer,
 and subtracts everything seen before from each, so layers are disjoint
@@ -271,12 +277,16 @@ class LayerSequence:
     one window masked, with empty windows dropped.  The terminal half is
     the layer minus their OR.  A complete sequence holds them for every
     layer; an incomplete one lacks them for the last layer, whose image
-    the search never began.  ``leads_back`` lists the layers whose image
+    the search never began.  ``movers[d]``, one per ``nonterminal[d]``,
+    holds the players whose relational product from layer ``d`` was
+    non-empty: exactly the players that can move in some non-terminal
+    state of the layer.  ``leads_back`` lists the layers whose image
     met ``reached``, where a move leads back to that layer or an earlier
     one; every move from any other layer leads to the next.
     """
     layers: list[tuple[int, ...]]
     nonterminal: list[tuple[int, ...]]
+    movers: list[frozenset[int]]
     leads_back: list[int]
     stats: list[LayerStat]
     reached: int
@@ -290,8 +300,58 @@ def _outside_sink(ts: TransitionSystem, f: int) -> int:
     return f
 
 
+def _fixed_literals(store: BddStore, f: int) -> tuple[int, int]:
+    """Bit masks of the levels that every satisfying assignment of ``f`` sets to 1 and to 0.
+
+    One pass over the descendants in slot order, children first, for
+    both signs of each slot; it makes no node.  A node fixes its own
+    level when one branch is ``FALSE``, and a level below it when both
+    branches fix that level the same way.  ``TRUE`` and ``FALSE`` fix
+    nothing.
+    """
+    fixed = {1: (0, 0), -1: (0, 0)}
+    for slot in sorted(store.descendants(f)):
+        level, t, e = store.node(slot)
+        bit = 1 << level
+        for sign in (1, -1):
+            st, se = sign * t, sign * e
+            if st == -1:
+                ones, zeros = fixed[se]
+                zeros |= bit
+            elif se == -1:
+                ones, zeros = fixed[st]
+                ones |= bit
+            else:
+                (ones_t, zeros_t), (ones_e, zeros_e) = fixed[st], fixed[se]
+                ones, zeros = ones_t & ones_e, zeros_t & zeros_e
+            fixed[sign * slot] = (ones, zeros)
+    return fixed[f]
+
+
+def _followers(ts: TransitionSystem) -> list[tuple[int, ...]]:
+    """For each relation, the indices of the relations that can move right after it.
+
+    A state that relation ``i`` just made carries each next-level
+    literal that ``i``'s edge fixes, moved to its current level.
+    Relation ``j`` cannot move there when its edge fixes one of those
+    current levels to the other value.  This is the two-player turn
+    rule: each move sets the control variable, and the other player's
+    preconditions require that value.  A ``FALSE`` relation fixes
+    nothing, so it follows and is followed by every relation.
+    """
+    current = sum(1 << lvl for lvl in ts.current)
+    fixed = [_fixed_literals(ts.store, rel.edge) for rel in ts.relations]
+    followers = []
+    for ones, zeros in fixed:
+        made_ones, made_zeros = (ones >> 1) & current, (zeros >> 1) & current
+        followers.append(tuple(j for j, (needs_ones, needs_zeros) in enumerate(fixed)
+                               if not made_ones & needs_zeros and not made_zeros & needs_ones))
+    return followers
+
+
 def _image_windows(ts: TransitionSystem, windows: list[CountTable],
-                   strategy: PartitionStrategy) -> tuple[tuple[int, ...], list[int], int]:
+                   strategy: PartitionStrategy, tried: Sequence[int]
+                   ) -> tuple[tuple[int, ...], list[int], int, tuple[int, ...]]:
     """One forward step from a layer's windows, given as their count tables.
 
     Under a lex strategy the parts are masked with the complement of the
@@ -302,9 +362,12 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
     lex-greatest members, skipping the windows a split finds empty, and
     each piece is ORed into its window.  Under ``none`` and ``disj-var``
     the one window is masked once, each part with it, and every subimage
-    is ORed into one image.  Returns the non-empty non-terminal windows,
-    the image windows (some may be empty) and the peak: the largest
-    subimage or window image.
+    is ORed into one image.  Only the relations whose indices ``tried``
+    lists, in ascending order, take a product; the caller leaves out
+    those whose products it knows to be empty.  Returns the non-empty
+    non-terminal windows, the image windows (some may be empty), the
+    peak (the largest subimage or window image) and the indices of the
+    tried relations with a non-empty product.
     """
     store, levels = ts.store, ts.current
     if strategy.kind in LEX_KINDS:
@@ -317,20 +380,25 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
         sources = [care if part == whole else store.apply("and", part, care)
                    for part in strategy.parts_of(store, windows, levels)]
         nonterminal, cuts = [care], []
-    products = [(rel.edge, {w: w + 1 for w in rel.written}, {w + 1: w for w in rel.written})
-                for rel in ts.relations]
+    products = []
+    for index in tried:
+        rel = ts.relations[index]
+        products.append((index, rel.edge, {w: w + 1 for w in rel.written},
+                         {w + 1: w for w in rel.written}))
     images = [FALSE] * (len(cuts) + 1)
     peak = 0
+    moved = set()
     for part in sources:
         if part == FALSE:
             continue
-        for edge, shift, back in products:
+        for index, edge, shift, back in products:
             sub = store.and_exists(shift, edge, part, TRUE, None, back)
+            if sub == FALSE:
+                continue
+            moved.add(index)
             peak = max(peak, store.size(sub))
             i = 0
             if cuts:
-                if sub == FALSE:
-                    continue
                 i = bisect_left(cuts, extreme_member(store, sub, levels, 0))
                 last = bisect_left(cuts, extreme_member(store, sub, levels, 1))
                 while i < last:
@@ -343,7 +411,7 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
                     sub, i = pair.right, i + 1
             images[i] = store.apply("or", images[i], sub)
     peak = max(peak, *map(store.size, images))
-    return tuple(w for w in nonterminal if w != FALSE), images, peak
+    return tuple(w for w in nonterminal if w != FALSE), images, peak, tuple(sorted(moved))
 
 
 def _preimages(ts: TransitionSystem, s: int, relations: tuple[Move, ...] | None = None,
@@ -375,7 +443,8 @@ def image(ts: TransitionSystem, s: int,
     ``s`` is partitioned by ``strategy`` and the subimages of its parts
     are merged; the result does not depend on the strategy.
     """
-    _, images, _ = _image_windows(ts, [precompute_counts(ts.store, s, ts.current)], strategy)
+    _, images, _, _ = _image_windows(ts, [precompute_counts(ts.store, s, ts.current)], strategy,
+                                     range(len(ts.relations)))
     return join_windows(ts.store, images)
 
 
@@ -398,18 +467,27 @@ def layered_bfs(ts: TransitionSystem, init: int,
     window, with empty windows dropped; ``reached`` stays one set.  The
     search stops at the fix point or when a budget runs out, in which
     case the sequence is flagged incomplete.  Each step keeps its masked
-    sources in :attr:`LayerSequence.nonterminal`; a step whose image met
-    ``reached`` is listed in :attr:`LayerSequence.leads_back`.  Between
-    steps, :class:`_LayerSteps` keeps the layers, their non-terminal
-    windows and ``reached``, so every edge made before the call keeps
-    its meaning, and so does every edge it returns.
+    sources in :attr:`LayerSequence.nonterminal` and the players that
+    moved from them in :attr:`LayerSequence.movers`; a step whose image
+    met ``reached`` is listed in :attr:`LayerSequence.leads_back`.  The
+    first step tries every relation; each later step tries only the
+    followers (see :func:`_followers`, computed once per search) of the
+    relations whose product was non-empty in the step before, as every
+    state of the new layer was made by one of those.  The products it
+    leaves out are empty.  Between steps, :class:`_LayerSteps` keeps the
+    layers, their non-terminal windows and ``reached``, so every edge
+    made before the call keeps its meaning, and so does every edge it
+    returns.
     """
     if init == FALSE:
         raise ValueError("initial state set is empty")
     store = ts.store
     steps = _LayerSteps(store, limits)
+    followers = _followers(ts)
+    tried = range(len(ts.relations))
     layers = [(init,)]
     nonterminal = []
+    movers = []
     leads_back = []
     reached = init
     stats = []
@@ -425,17 +503,21 @@ def layered_bfs(ts: TransitionSystem, init: int,
         stats.append(LayerStat("forward", len(layers) - 1, *made,
                                sum(table.root_count for table in tables)))
         if steps.exhausted():
-            return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=False)
+            return LayerSequence(layers, nonterminal, movers, leads_back, stats, reached,
+                                 complete=False)
         t0 = time.perf_counter()
-        kept, images, peak = _image_windows(ts, tables, strategy)
+        kept, images, peak, moved = _image_windows(ts, tables, strategy, tried)
         nonterminal.append(kept)
+        movers.append(frozenset(ts.relations[i].player for i in moved))
+        tried = sorted({j for i in moved for j in followers[i]})
         frontier = [store.apply("and", img, -reached) for img in images]
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         if frontier != images:
             leads_back.append(len(layers) - 1)
         frontier = tuple(w for w in frontier if w != FALSE)
         if not frontier:
-            return LayerSequence(layers, nonterminal, leads_back, stats, reached, complete=True)
+            return LayerSequence(layers, nonterminal, movers, leads_back, stats, reached,
+                                 complete=True)
         layers.append(frontier)
         for w in frontier:
             reached = store.apply("or", reached, w)

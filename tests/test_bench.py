@@ -3,10 +3,12 @@
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
 
+import lexbdd.bench
 import lexbdd.games
 import lexbdd.search
 from lexbdd import RunConfig, RunReport, bundled_game_names, bundled_game_path, compare, \
@@ -60,6 +62,22 @@ def test_tiny_time_budget_flags_incomplete():
     report = _run("lightsout3", time_budget_s=1e-9)
     assert not report.solved
     assert len(report.rows) < len(_run("lightsout3").rows)
+
+
+def test_time_budget_covers_parse_and_compile(monkeypatch, capsys):
+    # a compile that outlasts the whole budget leaves the search nothing
+    compile_slowly = lexbdd.bench.compile_game
+
+    def slow(spec):
+        time.sleep(0.05)
+        return compile_slowly(spec)
+
+    monkeypatch.setattr(lexbdd.bench, "compile_game", slow)
+    report = _run("counter3", time_budget_s=0.02)
+    assert not report.solved and len(report.rows) == 1
+    game = str(bundled_game_path("counter3"))
+    assert main(["solve", game, "--time-budget", "0.02"]) == 2
+    assert "solved=False" in capsys.readouterr().out
 
 
 def test_node_budget_flags_incomplete():

@@ -946,6 +946,43 @@ def test_solve_never_walks_the_sink_set(strategy, monkeypatch):
     assert twin.layer_classes == sol.layer_classes
 
 
+def _every_relation_follows(ts):
+    return [tuple(range(len(ts.relations)))] * len(ts.relations)
+
+
+@pytest.mark.parametrize("name", [*bundled_game_names(), "connect4x3", "lightsout4"])
+def test_skipping_the_products_that_cannot_move_changes_nothing(name, monkeypatch):
+    # the forward search tries only the relations that can follow the
+    # last movers, and the backward phase builds no mover set for a player
+    # that did not move; a run that tries every relation makes the same rows
+    spec = load_game(bundled_game_path(name)) if name in bundled_game_names() \
+        else _generated_spec(name)
+
+    def run(text):
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
+        sol = solve(ts, spec, layers)
+        rows = [(r.direction, r.index, r.total_nodes, r.max_image_nodes, r.states)
+                for r in layers.stats + sol.stats]
+        return ts, layers, (rows, layers.movers, sol.initial_value())
+
+    for text in STRATEGIES:
+        with monkeypatch.context() as patch:
+            patch.setattr(lexbdd.search, "_followers", _every_relation_follows)
+            _, _, everything = run(text)
+        ts, layers, skipped = run(text)
+        assert skipped == everything, text
+        store = ts.store
+        relations = {rel.player: rel for rel in ts.relations}
+        assert len(layers.movers) == len(layers.nonterminal) == len(layers.layers)
+        for d, rest in enumerate(layers.nonterminal):
+            rest = merged(store, rest)
+            can_move = {p for p, rel in relations.items()
+                        if store.and_exists([w + 1 for w in rel.written], rel.edge, rest)
+                        != FALSE}
+            assert layers.movers[d] == can_move, (text, d)
+
+
 @pytest.mark.parametrize("name", ["connect4x3", "lightsout4"])
 def test_the_backward_phase_never_partitions(name, monkeypatch):
     # solve takes one preimage per (class, player), whatever strategy made

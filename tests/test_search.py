@@ -14,10 +14,11 @@ from lexbdd import BddStore, PartitionStrategy, SearchLimits, image, layered_bfs
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.games import bundled_game_names, bundled_game_path, compile_game, formula_edge, \
     initial_edge, load_game, parse_game, solve, state_edge
-from lexbdd.search import Move, TransitionSystem, _image_windows, _preimages
+from lexbdd.search import Move, TransitionSystem, _fixed_literals, _followers, _image_windows, \
+    _preimages
 
 from explicit import ExplicitGame
-from helpers import action_relations, merged
+from helpers import action_relations, corpus, merged, satisfying
 
 COUNTER = """
 name: counter3
@@ -168,7 +169,8 @@ def test_subimages_match_the_framed_reference(name):
                 for part in parts[:-1]:
                     table = precompute_counts(store, part, ts.current)
                     cuts.append(unrank(table, table.root_count - 1))
-            assert _image_windows(ts, tables, strategy)[1:] == \
+            every = range(len(ts.relations))
+            assert _image_windows(ts, tables, strategy, every)[1:3] == \
                 _subimages_reference(ts, spec, parts, True, cuts)
             # a preimage never partitions its target set
             assert _preimages(ts, layer, care=-merged(store, ts.sink)) == \
@@ -653,3 +655,90 @@ def test_strategy_parts_cover_and_are_disjoint(counter):
                 assert store.apply("and", p, q) == FALSE
             union = store.apply("or", union, p)
         assert union == s
+
+
+# ----------------------------------------------------------------------
+# whose turn it is, from the move relations
+
+
+def _fixed_by_enumeration(store, f, n):
+    sats = satisfying(store, f, n)
+    if not sats:
+        return 0, 0
+    ones = sum(1 << lvl for lvl in range(n) if all(bits[lvl] for bits in sats))
+    zeros = sum(1 << lvl for lvl in range(n) if not any(bits[lvl] for bits in sats))
+    return ones, zeros
+
+
+def test_fixed_literals_match_enumeration():
+    # odd entries of the corpus are reached through a complement mark
+    for store, f, n in corpus(29, 60, sizes=range(1, 9)):
+        assert _fixed_literals(store, f) == _fixed_by_enumeration(store, f, n)
+        assert _fixed_literals(store, -f) == _fixed_by_enumeration(store, -f, n)
+    store = BddStore(4)
+    assert _fixed_literals(store, TRUE) == _fixed_literals(store, FALSE) == (0, 0)
+    cube = store.cube({0: True, 2: False, 3: True})
+    assert _fixed_literals(store, cube) == (0b1001, 0b0100)
+    assert _fixed_literals(store, -cube) == (0, 0)
+    either = store.apply("or", cube, store.var(1))
+    count = store.node_count()
+    assert _fixed_literals(store, either) == (0, 0)
+    assert store.node_count() == count  # the walk makes no node
+
+
+def _followers_by_player(ts):
+    return {ts.relations[i].player: {ts.relations[j].player for j in after}
+            for i, after in enumerate(_followers(ts))}
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("connect3", {1: {2}, 2: {1}}),
+    ("tictactoe", {1: {2}, 2: {1}}),
+    ("duel", {1: {2}, 2: set()}),
+    ("counter3", {1: {1}}),
+    ("lightsout3", {1: {1}}),
+])
+def test_followers_of_the_bundled_games(name, expected):
+    ts = compile_game(load_game(bundled_game_path(name)))
+    assert _followers_by_player(ts) == expected
+
+
+def test_a_relation_that_fixes_nothing_follows_and_is_followed_by_all():
+    store = BddStore(4)
+    turn = Move(1, store.cube({0: False, 1: True}), (0,))
+    ts = TransitionSystem(store, (turn, Move(2, FALSE, (0,))))
+    assert _followers(ts) == [(1,), (0, 1)]
+
+
+EXTRA_TURN = """
+name: extra_turn
+vars: a, b, c, d, omove
+init:
+player 1 action seta: pre = !omove & !a; eff = a := 1
+player 1 action setb: pre = !omove & !b; eff = b := 1, omove := 1
+player 2 action setc: pre = omove & !c; eff = c := 1, omove := 0
+player 2 action setd: pre = omove & !d; eff = d := 1, omove := 0
+terminal: (a & b) | (c & d)
+reward 1 100: a & b
+reward 1 0: !(a & b)
+reward 2 100: !(a & b)
+reward 2 0: a & b
+"""
+
+
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:2", "states-lex:1", "disj-var"])
+def test_an_action_that_keeps_the_turn_lets_its_player_follow_itself(strategy):
+    # seta leaves omove alone, so player 1's edge fixes no next omove
+    spec = parse_game(EXTRA_TURN)
+    ts = compile_game(spec)
+    assert _followers_by_player(ts) == {1: {1, 2}, 2: {1}}
+    layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(strategy))
+    explicit = ExplicitGame(spec)
+    expected = explicit.bfs_layers()
+    assert [row.states for row in layers.stats] == [len(states) for states in expected]
+    assert layers.movers[1] == {1, 2}  # {a} is player 1's turn again, {b, omove} player 2's
+    table = solve(ts, spec, layers)
+    assert table.initial_value() == (100, 0)
+    for states in expected:
+        for bits in states:
+            assert table.value_of(bits) == explicit.value(bits)

@@ -4,8 +4,8 @@ partitioning, and a partitioned symbolic game solver."""
 from .bdd import FALSE, TRUE, BddStore
 from .counting import CountTable, precompute_counts
 from .ranking import NotAMemberError, member_rank_or_none, rank, unrank
-from .partition import (LexPartition, SplitPair, disj_var, fold_states_lex,
-                        split, split_at_count, states_lex_bounded)
+from .partition import (LexPartition, SplitPair, fold_states_lex, split, split_at_count,
+                        states_lex_bounded)
 from .search import (LayerSequence, LayerStat, Move, PartitionStrategy,
                      SearchLimits, TransitionSystem, image, layered_bfs, preimage)
 from .games import (GameSolveError, GameSpec, GameSpecError, SolutionTable,
@@ -19,8 +19,8 @@ __all__ = [
     "FALSE", "TRUE", "BddStore",
     "CountTable", "precompute_counts",
     "NotAMemberError", "member_rank_or_none", "rank", "unrank",
-    "LexPartition", "SplitPair", "disj_var", "fold_states_lex",
-    "split", "split_at_count", "states_lex_bounded",
+    "LexPartition", "SplitPair", "fold_states_lex", "split", "split_at_count",
+    "states_lex_bounded",
     "LayerSequence", "LayerStat", "Move", "PartitionStrategy",
     "SearchLimits", "TransitionSystem", "image", "layered_bfs", "preimage",
     "GameSolveError", "GameSpec", "GameSpecError", "SolutionTable",

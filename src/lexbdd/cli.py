@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="explore and solve one game file")
     solve_p.add_argument("game", help="path to a .game file")
     solve_p.add_argument("--partition", default="none",
-                         help="none | fold-states-lex:K | states-lex:BOUND | disj-var; "
-                              "partitions the forward image's sources only")
+                         help="none | fold-states-lex:K | states-lex:BOUND; partitions "
+                              "the forward image's sources only")
     solve_p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET_S,
                          metavar="S",
                          help="wall clock budget in seconds, parse and compile included")

@@ -5,8 +5,7 @@ the part at or below ``s`` (lexicographically) and the part above it,
 in one pass along the path of ``s``.  Combined with ``unrank`` this
 gives cuts at exact satisfying-set counts, and by repeating them a
 partition of a BDD into lexicographically contiguous parts of equal
-state counts.  A variable-balanced two-way decomposition is included as
-the baseline scheme.
+state counts.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .bdd import FALSE, TRUE, BddStore
+from .bdd import FALSE, BddStore
 from .counting import CountTable, universe
 from .ranking import unrank
 
@@ -162,7 +161,10 @@ def _partition_at_positions(tables: Sequence[CountTable],
 
 
 def _windows(table: CountTable | Sequence[CountTable]) -> tuple[CountTable, ...]:
-    return (table,) if isinstance(table, CountTable) else tuple(table)
+    tables = (table,) if isinstance(table, CountTable) else tuple(table)
+    if not tables:
+        raise ValueError("no count tables to partition, expected at least one")
+    return tables
 
 
 def fold_states_lex(table: CountTable | Sequence[CountTable], k: int) -> LexPartition:
@@ -229,29 +231,3 @@ def extreme_member(store: BddStore, f: int, levels: Sequence[int], bit: int) -> 
             b = bit
         bits.append(b)
     return tuple(bits)
-
-
-def disj_var(store: BddStore, f: int,
-             levels: Sequence[int] | None = None) -> SplitPair:
-    """Two-way decomposition on the best single variable.
-
-    Returns ``(f and not x, f and x)`` for the variable ``x`` that
-    minimizes the larger of the two diagram sizes; ties go to the
-    earliest variable in the order.  A constant ``f`` has nothing to
-    decompose on and comes back as ``(f, false)``.
-    """
-    if f == TRUE or f == FALSE:
-        return SplitPair(f, FALSE)
-    if levels is None:
-        levels = range(store.n)
-    best = None
-    best_size = None
-    for lvl in sorted(set(levels)):
-        x = store.var(lvl)
-        neg_part = store.apply("and", f, -x)
-        pos_part = store.apply("and", f, x)
-        worst = max(store.size(neg_part), store.size(pos_part))
-        if best_size is None or worst < best_size:
-            best = SplitPair(neg_part, pos_part)
-            best_size = worst
-    return best

@@ -25,17 +25,16 @@ out over the current variables and nothing is renamed.
 The breadth-first search stores each depth layer as a tuple of lex
 windows, disjoint sets in ascending lex order whose OR is the layer,
 and subtracts everything seen before from each, so layers are disjoint
-and layer index equals BFS depth.  Under a lex strategy the windows of
-a layer end where the parts of the layer before it end: each subimage
-is split at those cuts and each piece ORed into its window, so no step
-builds its merged image, and the next step cuts the windows into the
-parts it would cut their OR into.  Under ``none`` and ``disj-var`` a
-layer is one window.  Each step masks its parts (or its one window)
-with the complement of the sink set once and keeps the masked windows
-beside the layer, so a backward solve reads both halves of a layer
-without walking the sink set.  What happens between two layer steps,
-of the search and of the backward solve alike, is up to
-:class:`_LayerSteps`.
+and layer index equals BFS depth.  The windows of a layer end where
+the parts of the layer before it end: each subimage is split at those
+cuts and each piece ORed into its window, so no step builds its merged
+image, and the next step cuts the windows into the parts it would cut
+their OR into.  ``none`` is the one-part lex partition, so under it a
+layer is one window.  Each step masks its parts with the complement of
+the sink set once and keeps the masked windows beside the layer, so a
+backward solve reads both halves of a layer without walking the sink
+set.  What happens between two layer steps, of the search and of the
+backward solve alike, is up to :class:`_LayerSteps`.
 """
 
 from __future__ import annotations
@@ -49,10 +48,10 @@ from typing import NamedTuple
 
 from .bdd import FALSE, TRUE, BddStore
 from .counting import CountTable, count_windows, precompute_counts
-from .partition import (_split_walk, disj_var, extreme_member, fold_states_lex, join_windows,
+from .partition import (_split_walk, extreme_member, fold_states_lex, join_windows,
                         states_lex_bounded)
 
-STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex", "disj-var")
+STRATEGY_KINDS = ("none", "fold-states-lex", "states-lex")
 LEX_KINDS = ("fold-states-lex", "states-lex")
 
 
@@ -84,9 +83,9 @@ class TransitionSystem:
     whose OR, never built, is the set of states with no successors
     whatever the relations say; ``image`` and ``preimage`` mask each out.
     A ``sink`` that is not a tuple of store edges, and a relation whose
-    ``written`` is not a sorted tuple of distinct current levels, or
-    whose edge reads the next copy of a variable it does not write, are
-    rejected.
+    edge is not an edge of the store, whose ``written`` is not a sorted
+    tuple of distinct current levels, or whose edge reads the next copy
+    of a variable it does not write, are rejected.
     """
     store: BddStore
     relations: tuple[Move, ...]
@@ -95,16 +94,22 @@ class TransitionSystem:
 
     def __post_init__(self):
         n, slots = self.store.n, self.store.node_count() + 2
+
+        def is_edge(e):
+            return type(e) is int and 0 < abs(e) < slots
+
         if n % 2:
             raise ValueError(f"store has {n} levels, not a current and a next one per variable")
-        if type(self.sink) is not tuple or any(type(e) is not int or not 0 < abs(e) < slots
-                                               for e in self.sink):
+        if type(self.sink) is not tuple or not all(map(is_edge, self.sink)):
             raise ValueError(f"sink {self.sink!r} is not a tuple of edges of the store")
         stray = sorted({lvl for e in self.sink for lvl in self.store.support_levels(e) if lvl % 2})
         if stray:
             raise ValueError(f"sink set mentions next levels {stray}")
         current = tuple(range(0, n, 2))
         for rel in self.relations:
+            if not is_edge(rel.edge):
+                raise ValueError(f"relation of player {rel.player} has edge {rel.edge!r}, "
+                                 "not an edge of the store")
             if tuple(rel.written) != tuple(lvl for lvl in current if lvl in rel.written):
                 raise ValueError(f"relation of player {rel.player} writes levels "
                                  f"{tuple(rel.written)}, not sorted distinct current levels")
@@ -126,8 +131,9 @@ class PartitionStrategy:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}, expected {STRATEGY_KINDS}")
         if self.kind in LEX_KINDS:
-            if self.param is None or self.param < 1:
-                raise ValueError(f"strategy {self.kind} needs a parameter >= 1")
+            if type(self.param) is not int or self.param < 1:
+                raise ValueError(f"strategy {self.kind} needs an integer parameter >= 1, "
+                                 f"got {self.param!r}")
         elif self.param is not None:
             raise ValueError(f"strategy {self.kind} takes no parameter")
 
@@ -152,25 +158,17 @@ class PartitionStrategy:
 
     def parts_of(self, store: BddStore, tables: Sequence[CountTable],
                  levels: tuple[int, ...]) -> list[int]:
-        """Partition a state set over ``levels`` into disjoint parts.
+        """Partition a state set over ``levels`` into disjoint lex-contiguous parts.
 
-        ``tables`` count the set's lex windows over ``levels`` (see
-        :class:`LayerSequence`).  The lex strategies cut the windows
-        where they would cut the windows' OR, into the same parts,
-        without building it.  ``none`` and ``disj-var`` take one window.
-        Only the forward image partitions its sources.
+        ``tables`` count the set's lex windows (see :class:`LayerSequence`);
+        the parts are those of the windows' OR, which is never built, and
+        ``none`` is one part.  Only the forward image partitions its
+        sources.  ``store`` and ``levels`` go unused, but stay because
+        ``perfbench/spans.py`` hooks this method and receives them.
         """
-        if self.kind == "fold-states-lex":
-            return list(fold_states_lex(tables, self.param).parts)
         if self.kind == "states-lex":
             return list(states_lex_bounded(tables, self.param).parts)
-        if len(tables) != 1:
-            raise ValueError(f"strategy {self} partitions one set, not {len(tables)}")
-        f = tables[0].root
-        if self.kind == "none" or f == FALSE:
-            return [f]
-        pair = disj_var(store, f, levels)
-        return [pair.left, pair.right]
+        return list(fold_states_lex(tables, self.param or 1).parts)
 
 
 NO_PARTITION = PartitionStrategy("none")
@@ -244,14 +242,14 @@ class LayerStat:
     ``max_image_nodes`` is the largest diagram, in nodes, among the
     images a step builds.  Forward, those are the layer's subimages,
     one per (part, player), and the lex windows they are ORed into, of
-    which there is one under ``none`` and ``disj-var`` (see
-    :class:`LayerSequence`); no forward step builds its merged image.
-    Backward, they are the preimages of the classes, each through one
-    player's relation in one product whatever the strategy; a player's
-    last class takes its states without one.  It does not depend on the
-    order of the actions, the players or the merge.  ``total_nodes`` is
-    the store's node count at the end of the step, after any compaction
-    at its start.
+    which there is one under ``none`` (see :class:`LayerSequence`); no
+    forward step builds its merged image.  Backward, they are the
+    preimages of the classes, each through one player's relation in one
+    product whatever the strategy; a player's last class takes its
+    states without one.  It does not depend on the order of the
+    actions, the players or the merge.  ``total_nodes`` is the store's
+    node count at the end of the step, after any compaction at its
+    start.
     """
     direction: str
     index: int
@@ -267,22 +265,21 @@ class LayerSequence:
 
     Each layer is a tuple of lex windows: non-empty, pairwise disjoint
     state sets in ascending lex order over the current variables, whose
-    OR is the layer.  Under ``none`` and ``disj-var`` a layer is one
-    window; under a lex strategy a layer has a window per part of the
-    layer before it that has successors here, so no layer is built
-    merged.  ``nonterminal[d]`` holds the windows of the non-terminal
-    half of ``layers[d]``, its states outside the sink set, which the
-    search built as the sources of the layer's image: one per part under
-    a lex strategy (lex-ascending and disjoint too), else the layer's
-    one window masked, with empty windows dropped.  The terminal half is
-    the layer minus their OR.  A complete sequence holds them for every
-    layer; an incomplete one lacks them for the last layer, whose image
-    the search never began.  ``movers[d]``, one per ``nonterminal[d]``,
-    holds the players whose relational product from layer ``d`` was
-    non-empty: exactly the players that can move in some non-terminal
-    state of the layer.  ``leads_back`` lists the layers whose image
-    met ``reached``, where a move leads back to that layer or an earlier
-    one; every move from any other layer leads to the next.
+    OR is the layer.  A layer has a window per part of the layer before
+    it that has successors here, so no layer is built merged; under
+    ``none``, which has one part, it is one window.  ``nonterminal[d]``
+    holds the windows of the non-terminal half of ``layers[d]``, its
+    states outside the sink set, which the search built as the sources
+    of the layer's image: one per part, lex-ascending and disjoint too,
+    with empty windows dropped.  The terminal half is the layer minus
+    their OR.  A complete sequence holds them for every layer; an
+    incomplete one lacks them for the last layer, whose image the search
+    never began.  ``movers[d]``, one per ``nonterminal[d]``, holds the
+    players whose relational product from layer ``d`` was non-empty:
+    exactly the players that can move in some non-terminal state of the
+    layer.  ``leads_back`` lists the layers whose image met ``reached``,
+    where a move leads back to that layer or an earlier one; every move
+    from any other layer leads to the next.
     """
     layers: list[tuple[int, ...]]
     nonterminal: list[tuple[int, ...]]
@@ -354,40 +351,31 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
                    ) -> tuple[tuple[int, ...], list[int], int, tuple[int, ...]]:
     """One forward step from a layer's windows, given as their count tables.
 
-    Under a lex strategy the parts are masked with the complement of the
-    sink set and kept as the layer's non-terminal windows; image window
-    ``i`` takes the states in ``(cuts[i - 1], cuts[i]]``, ``cuts[i]``
-    being part ``i``'s lex-greatest member.  Each (part, player)
-    subimage is split only at the cuts between its lex-least and
-    lex-greatest members, skipping the windows a split finds empty, and
-    each piece is ORed into its window.  Under ``none`` and ``disj-var``
-    the one window is masked once, each part with it, and every subimage
-    is ORed into one image.  Only the relations whose indices ``tried``
-    lists, in ascending order, take a product; the caller leaves out
-    those whose products it knows to be empty.  Returns the non-empty
-    non-terminal windows, the image windows (some may be empty), the
-    peak (the largest subimage or window image) and the indices of the
-    tried relations with a non-empty product.
+    The parts are masked with the complement of the sink set and kept as
+    the layer's non-terminal windows; image window ``i`` takes the
+    states in ``(cuts[i - 1], cuts[i]]``, ``cuts[i]`` being part
+    ``i``'s lex-greatest member.  Each (part, player) subimage is split
+    only at the cuts between its lex-least and lex-greatest members,
+    skipping the windows a split finds empty, and each piece is ORed
+    into its window.  Under ``none``, one part, there is no cut and
+    every subimage is ORed into one image.  Only the relations whose
+    indices ``tried`` lists, in ascending order, take a product; the
+    caller leaves out those whose products it knows to be empty.
+    Returns the non-empty non-terminal windows, the image windows (some
+    may be empty), the peak (the largest subimage or window image) and
+    the indices of the tried relations with a non-empty product.
     """
     store, levels = ts.store, ts.current
-    if strategy.kind in LEX_KINDS:
-        parts = strategy.parts_of(store, windows, levels)
-        nonterminal = sources = [_outside_sink(ts, part) for part in parts]
-        cuts = [extreme_member(store, part, levels, 1) for part in parts[:-1]]
-    else:
-        whole = windows[0].root
-        care = _outside_sink(ts, whole)
-        sources = [care if part == whole else store.apply("and", part, care)
-                   for part in strategy.parts_of(store, windows, levels)]
-        nonterminal, cuts = [care], []
+    parts = strategy.parts_of(store, windows, levels)
+    sources = [_outside_sink(ts, part) for part in parts]
+    cuts = [extreme_member(store, part, levels, 1) for part in parts[:-1]]
     products = []
     for index in tried:
         rel = ts.relations[index]
         products.append((index, rel.edge, {w: w + 1 for w in rel.written},
                          {w + 1: w for w in rel.written}))
     images = [FALSE] * (len(cuts) + 1)
-    peak = 0
-    moved = set()
+    peak, moved = 0, set()
     for part in sources:
         if part == FALSE:
             continue
@@ -397,21 +385,19 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
                 continue
             moved.add(index)
             peak = max(peak, store.size(sub))
-            i = 0
-            if cuts:
-                i = bisect_left(cuts, extreme_member(store, sub, levels, 0))
-                last = bisect_left(cuts, extreme_member(store, sub, levels, 1))
-                while i < last:
-                    pair = _split_walk(store, sub, cuts[i], levels)
-                    if pair.left == FALSE:
-                        # skip every window below the least state left
-                        i = bisect_left(cuts, extreme_member(store, sub, levels, 0), i + 1)
-                        continue
-                    images[i] = store.apply("or", images[i], pair.left)
-                    sub, i = pair.right, i + 1
+            i = bisect_left(cuts, extreme_member(store, sub, levels, 0))
+            last = bisect_left(cuts, extreme_member(store, sub, levels, 1))
+            while i < last:
+                pair = _split_walk(store, sub, cuts[i], levels)
+                if pair.left == FALSE:
+                    # skip every window below the least state left
+                    i = bisect_left(cuts, extreme_member(store, sub, levels, 0), i + 1)
+                    continue
+                images[i] = store.apply("or", images[i], pair.left)
+                sub, i = pair.right, i + 1
             images[i] = store.apply("or", images[i], sub)
     peak = max(peak, *map(store.size, images))
-    return tuple(w for w in nonterminal if w != FALSE), images, peak, tuple(sorted(moved))
+    return tuple(w for w in sources if w != FALSE), images, peak, tuple(sorted(moved))
 
 
 def _preimages(ts: TransitionSystem, s: int, relations: tuple[Move, ...] | None = None,
@@ -485,12 +471,8 @@ def layered_bfs(ts: TransitionSystem, init: int,
     steps = _LayerSteps(store, limits)
     followers = _followers(ts)
     tried = range(len(ts.relations))
-    layers = [(init,)]
-    nonterminal = []
-    movers = []
-    leads_back = []
-    reached = init
-    stats = []
+    layers, reached = [(init,)], init
+    nonterminal, movers, leads_back, stats = [], [], [], []
     made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
     while True:
         held = [*layers, *nonterminal, (reached,)]

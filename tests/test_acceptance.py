@@ -20,7 +20,7 @@ from helpers import all_assignments, check_lex_partition, from_truth_table, merg
     random_table, satisfying
 
 BUNDLED_GAMES = ("counter3", "duel", "lightsout3", "connect3", "tictactoe")
-STRATEGIES = ("none", "fold-states-lex:8", "states-lex:32", "disj-var")
+STRATEGIES = ("none", "fold-states-lex:8", "states-lex:32")
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -155,7 +155,7 @@ def test_runs_build_no_value_sets(monkeypatch):
     expected = {}
     for name in bundled_game_names():
         spec = load_game(bundled_game_path(name))
-        for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        for text in ("none", "fold-states-lex:8", "states-lex:64"):
             strategy = PartitionStrategy.parse(text)
             ts = compile_game(spec)
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
@@ -288,6 +288,8 @@ def test_cli_malformed_spec_is_a_one_line_error(tmp_path, capsys, terminal, acti
 @pytest.mark.parametrize("header, partition, message", [
     ("", "fold-states-lex:1e3",
      "error: strategy fold-states-lex needs an integer parameter, got '1e3'\n"),
+    ("", "disj-var",
+     "error: unknown strategy 'disj-var', expected ('none', 'fold-states-lex', 'states-lex')\n"),
     # counter3 declares its name on its second line
     ("name: a\n", "none", "error: line 3: name declared twice\n"),
 ])

@@ -26,7 +26,9 @@ from explicit import ExplicitGame, eval_formula
 from helpers import action_relations, merged
 
 
-STRATEGIES = ("none", "fold-states-lex:8", "states-lex:64", "disj-var")
+# fold-states-lex:2 is the smallest split: at most two windows a layer
+# (connect3, lightsout3 and tictactoe reach two; counter3 and duel one)
+STRATEGIES = ("none", "fold-states-lex:8", "states-lex:64", "fold-states-lex:2")
 
 
 def _solved(name, strategy=None):
@@ -563,7 +565,7 @@ def test_solution_classes_partition_each_layer():
 
 def test_solve_partition_strategies_agree():
     base = _solved("lightsout3")[3]
-    for strategy in ("fold-states-lex:8", "states-lex:32", "disj-var"):
+    for strategy in ("fold-states-lex:8", "states-lex:32"):
         other = _solved("lightsout3", strategy)[3]
         assert other.initial_value() == base.initial_value()
 
@@ -736,10 +738,25 @@ def test_forward_layers_are_disjoint_lex_windows_of_the_explicit_layers(name, st
     ts = compile_game(spec)
     layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
     _check_windows(ts, spec, layers)
-    if strategy.kind in ("none", "disj-var"):
+    if strategy.kind == "none":
         assert all(len(windows) == 1 for windows in layers.layers)
     elif name == "tictactoe":
         assert max(len(windows) for windows in layers.layers) > 1
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+def test_none_searches_as_one_fold(name):
+    # none is the one-part lex partition: in a fresh store each, the two
+    # searches make the same nodes, so every edge and stat agrees
+    spec = load_game(bundled_game_path(name))
+    runs = []
+    for text in ("none", "fold-states-lex:1"):
+        ts = compile_game(spec)
+        layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
+        for row in layers.stats:
+            row.time_ms = 0.0
+        runs.append(layers)
+    assert runs[0].complete and runs[0] == runs[1]
 
 
 def test_forward_layers_are_disjoint_lex_windows_on_fuzzed_games():
@@ -1131,7 +1148,7 @@ def test_compaction_keeps_every_edge_the_caller_holds(name, monkeypatch):
             assert sol.value_of(state) == game.value(state)
 
 
-@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "disj-var"])
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8"])
 def test_solved_store_dies_with_its_last_reference(strategy):
     # no closure of the solver may hold the store in a reference cycle
     enabled = gc.isenabled()

@@ -6,7 +6,7 @@ import signal
 import pytest
 
 from lexbdd import BddStore, PartitionStrategy, bundled_game_names, bundled_game_path, \
-    compile_game, disj_var, fold_states_lex, initial_edge, layered_bfs, load_game, \
+    compile_game, fold_states_lex, initial_edge, layered_bfs, load_game, \
     precompute_counts, split, split_at_count, states_lex_bounded
 from lexbdd.bdd import FALSE, TRUE
 from lexbdd.partition import LexPartition, extreme_member
@@ -259,37 +259,11 @@ def test_states_bounded_cover_and_disjoint():
             states_lex_bounded(table, 0)
 
 
-def test_disj_var_single_variable_function():
-    store = BddStore(3)
-    f = store.var(0)
-    pair = disj_var(store, f)
-    assert _counts(store, pair.left, pair.right) == [0, 4]
-    assert pair.left == FALSE
-
-
-def test_disj_var_identities_and_optimality():
-    rng = random.Random(272)
-    for _ in range(12):
-        n = rng.randint(4, 10)
-        store, f, _ = random_function(rng, n)
-        pair = disj_var(store, f)
-        assert store.apply("or", pair.left, pair.right) == f
-        assert store.apply("and", pair.left, pair.right) == FALSE
-        chosen = max(store.size(pair.left), store.size(pair.right))
-        # exhaustive scan oracle over every variable
-        best = min(
-            max(store.size(store.apply("and", f, -store.var(lvl))),
-                store.size(store.apply("and", f, store.var(lvl))))
-            for lvl in range(n))
-        assert chosen == best
-
-
-def test_disj_var_constant_input():
-    store = BddStore(2)
-    pair = disj_var(store, TRUE)
-    assert pair.left == TRUE and pair.right == FALSE
-    pair = disj_var(store, FALSE)
-    assert pair.left == FALSE and pair.right == FALSE
+def test_partitions_of_no_windows_are_rejected():
+    for partition in (fold_states_lex, states_lex_bounded):
+        with pytest.raises(ValueError,
+                           match="^no count tables to partition, expected at least one$"):
+            partition([], 2)
 
 
 def test_split_over_projected_universe():

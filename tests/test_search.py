@@ -74,21 +74,20 @@ def test_image_distributes_over_partitions(counter):
     # a three-state set, partitioned every way the strategies produce
     s = _state_set(ts, [(0, 0, 0), (0, 1, 0), (1, 0, 0)])
     whole = image(ts, s)
-    for text in ("fold-states-lex:2", "fold-states-lex:8", "states-lex:1", "disj-var"):
+    for text in ("fold-states-lex:2", "fold-states-lex:8", "states-lex:1"):
         strategy = PartitionStrategy.parse(text)
         tables = [precompute_counts(store, s, ts.current)]
         assert len(strategy.parts_of(store, tables, ts.current)) > 1
         assert image(ts, s, strategy) == whole
 
 
-def test_only_lex_strategies_partition_several_windows(counter):
+def test_none_takes_several_windows_as_one_part(counter):
     _, ts = counter
     store = ts.store
     windows = (_state_set(ts, [(0, 0, 0)]), _state_set(ts, [(1, 0, 0)]))
     tables = [precompute_counts(store, w, ts.current) for w in windows]
-    for text in ("none", "disj-var"):
-        with pytest.raises(ValueError, match="partitions one set"):
-            PartitionStrategy.parse(text).parts_of(store, tables, ts.current)
+    assert PartitionStrategy.parse("none").parts_of(store, tables, ts.current) == \
+        [store.apply("or", *windows)]
     assert PartitionStrategy.parse("fold-states-lex:2").parts_of(store, tables, ts.current) == \
         list(windows)
 
@@ -154,7 +153,7 @@ def _subimages_reference(ts, spec, parts, forward, cuts=()):
 @pytest.mark.parametrize("name", bundled_game_names())
 def test_subimages_match_the_framed_reference(name):
     spec = load_game(bundled_game_path(name))
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in ("none", "fold-states-lex:8", "states-lex:64"):
         ts = compile_game(spec)
         store = ts.store
         strategy = PartitionStrategy.parse(text)
@@ -163,12 +162,11 @@ def test_subimages_match_the_framed_reference(name):
             layer = merged(store, windows)
             tables = [precompute_counts(store, w, ts.current) for w in windows]
             parts = strategy.parts_of(store, tables, ts.current)
-            # a lex strategy's image windows end where its parts end
+            # the image windows end where the parts end; none has one part
             cuts = []
-            if text not in ("none", "disj-var"):
-                for part in parts[:-1]:
-                    table = precompute_counts(store, part, ts.current)
-                    cuts.append(unrank(table, table.root_count - 1))
+            for part in parts[:-1]:
+                table = precompute_counts(store, part, ts.current)
+                cuts.append(unrank(table, table.root_count - 1))
             every = range(len(ts.relations))
             assert _image_windows(ts, tables, strategy, every)[1:3] == \
                 _subimages_reference(ts, spec, parts, True, cuts)
@@ -182,7 +180,7 @@ def test_subimages_match_the_framed_reference(name):
 @pytest.mark.parametrize("name", bundled_game_names())
 def test_backward_subimages_are_restricted_to_the_care_set(name):
     spec = load_game(bundled_game_path(name))
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in ("none", "fold-states-lex:8", "states-lex:64"):
         ts = compile_game(spec)
         store = ts.store
         strategy = PartitionStrategy.parse(text)
@@ -203,7 +201,7 @@ def test_backward_subimages_are_restricted_to_the_care_set(name):
 @pytest.mark.parametrize("name", bundled_game_names())
 def test_peak_does_not_depend_on_action_order(name):
     spec = load_game(bundled_game_path(name))
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in ("none", "fold-states-lex:8", "states-lex:64"):
         strategy = PartitionStrategy.parse(text)
         rows = []
         for reverse in (False, True):
@@ -260,7 +258,7 @@ def test_layer_disjointness_and_union(counter):
 def test_partition_invariance_of_bfs(counter):
     spec, ts = counter
     baseline = layered_bfs(ts, initial_edge(ts, spec))
-    for text in ("fold-states-lex:8", "states-lex:32", "disj-var"):
+    for text in ("fold-states-lex:8", "states-lex:32"):
         seq = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(text))
         # canonical edges, same store
         assert [(merged(ts.store, w),) for w in seq.layers] == baseline.layers
@@ -321,7 +319,7 @@ def test_forward_search_counts_each_layer_once(strategy, monkeypatch):
         [len(states) for states in ExplicitGame(spec).bfs_layers()]
 
 
-@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "states-lex:64", "disj-var"])
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:8", "states-lex:64"])
 def test_kept_nonterminal_halves_are_the_layers_outside_the_sink(strategy, monkeypatch):
     # tictactoe's store more than doubles inside the search, so the halves
     # are compacted with the layers between steps
@@ -371,7 +369,7 @@ def test_monolithic_image_agrees(name):
     mono_ts = TransitionSystem(store=ts.store, relations=(mono,), sink=ts.sink)
     assert {lvl - 1 for lvl in ts.store.support_levels(mono.edge) if lvl % 2} == set(ts.current)
     seq = layered_bfs(ts, initial_edge(ts, spec))
-    for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+    for text in ("none", "fold-states-lex:8", "states-lex:64"):
         strategy = PartitionStrategy.parse(text)
         for s in (*(merged(ts.store, w) for w in seq.layers), seq.reached):
             assert image(mono_ts, s, strategy) == image(ts, s, strategy)
@@ -520,7 +518,7 @@ def test_effect_shapes_match_the_explicit_engine(name):
     explicit = ExplicitGame(spec)
     states = list(itertools.product((0, 1), repeat=len(spec.variables)))
     rng = random.Random(name)
-    for text in ("none", "fold-states-lex:2", "states-lex:3", "disj-var"):
+    for text in ("none", "fold-states-lex:2", "states-lex:3"):
         strategy = PartitionStrategy.parse(text)
         ts = compile_game(spec)
         for _ in range(12):
@@ -549,7 +547,7 @@ def test_images_never_rename(monkeypatch):
     monkeypatch.setattr(BddStore, "rename", no_rename)
     for name in bundled_game_names():
         spec = load_game(bundled_game_path(name))
-        for text in ("none", "fold-states-lex:8", "states-lex:64", "disj-var"):
+        for text in ("none", "fold-states-lex:8", "states-lex:64"):
             strategy = PartitionStrategy.parse(text)
             ts = compile_game(spec)
             layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
@@ -566,7 +564,7 @@ def test_sink_states_have_no_successors(counter):
     sunk = TransitionSystem(store=store, relations=ts.relations,
                             sink=tuple(_state_set(ts, [state]) for state in states))
     assert image(sunk, sink) == FALSE
-    for text in ("none", "fold-states-lex:2", "states-lex:1", "disj-var"):
+    for text in ("none", "fold-states-lex:2", "states-lex:1"):
         strategy = PartitionStrategy.parse(text)
         assert image(sunk, sink, strategy) == FALSE
         pred = preimage(sunk, TRUE)
@@ -596,6 +594,12 @@ def test_transition_system_rejects_stray_levels():
     for sink in (store.var(0), [store.var(0)], (store.var(0), 10 ** 6), (0,), (True,), (2.0,)):
         with pytest.raises(ValueError, match=r"^sink .* is not a tuple of edges of the store$"):
             TransitionSystem(store, (), sink=sink)
+    # a relation edge goes through the same check, and the message names
+    # the relation's player
+    for edge in (10 ** 6, -10 ** 6, 0, True, 2.0, None):
+        with pytest.raises(ValueError, match=r"^relation of player 2 has edge .*, "
+                                             "not an edge of the store$"):
+            TransitionSystem(store, (Move(1, store.var(1), (0,)), Move(2, edge, (0,))))
     # written levels that are unsorted, repeated, next levels or out of range
     edge = store.apply("and", store.var(1), store.var(3))
     for written in ((2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 4), (-2, 0, 2)):
@@ -621,7 +625,7 @@ def test_hand_built_relation_moves_only_its_written_levels():
 
 
 def test_strategy_parse_and_str():
-    for text in ("none", "fold-states-lex:8", "states-lex:100", "disj-var"):
+    for text in ("none", "fold-states-lex:8", "states-lex:100"):
         assert str(PartitionStrategy.parse(text)) == text
     with pytest.raises(ValueError):
         PartitionStrategy.parse("fold-states-lex")
@@ -629,11 +633,11 @@ def test_strategy_parse_and_str():
         PartitionStrategy.parse("bogus")
     with pytest.raises(ValueError):
         PartitionStrategy.parse("states-lex:0")
-    with pytest.raises(ValueError):
-        PartitionStrategy.parse("disj-var:2")
     # the kind is checked before the parameter is read as an integer
+    unknown = "unknown strategy 'disj-var', expected ('none', 'fold-states-lex', 'states-lex')"
     for text, message in (("none:abc", "strategy none takes no parameter"),
-                          ("disj-var:x", "strategy disj-var takes no parameter"),
+                          ("disj-var", unknown),
+                          ("disj-var:2", unknown),
                           ("none:", "strategy none takes no parameter"),
                           ("bogus:3", "unknown strategy 'bogus'"),
                           ("bogus:x", "unknown strategy 'bogus'"),
@@ -642,12 +646,23 @@ def test_strategy_parse_and_str():
             PartitionStrategy.parse(text)
 
 
+@pytest.mark.parametrize("param", [2.5, True, "3", 0, -1, None])
+def test_strategy_rejects_a_parameter_that_is_not_an_int_from_one_up(param):
+    # a float, a bool or a string would pass a bare ``param < 1`` check,
+    # or fail it with a TypeError, and reach the search
+    for kind in ("fold-states-lex", "states-lex"):
+        message = f"strategy {kind} needs an integer parameter >= 1, got {param!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartitionStrategy(kind, param)
+    assert str(PartitionStrategy("fold-states-lex", 3)) == "fold-states-lex:3"
+
+
 def test_strategy_parts_cover_and_are_disjoint(counter):
     spec, ts = counter
     store = ts.store
     s = _state_set(ts, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)])
     table = precompute_counts(store, s, ts.current)
-    for text in ("none", "fold-states-lex:3", "states-lex:2", "disj-var"):
+    for text in ("none", "fold-states-lex:3", "states-lex:2"):
         parts = PartitionStrategy.parse(text).parts_of(store, [table], ts.current)
         union = FALSE
         for i, p in enumerate(parts):
@@ -726,7 +741,7 @@ reward 2 0: a & b
 """
 
 
-@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:2", "states-lex:1", "disj-var"])
+@pytest.mark.parametrize("strategy", ["none", "fold-states-lex:2", "states-lex:1"])
 def test_an_action_that_keeps_the_turn_lets_its_player_follow_itself(strategy):
     # seta leaves omove alone, so player 1's edge fixes no next omove
     spec = parse_game(EXTRA_TURN)

@@ -11,6 +11,7 @@ ratio of the largest per-image diagram sizes over those layers.
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,9 +85,9 @@ def run(config: RunConfig) -> RunReport:
     if config.dot_dir is not None:
         out = Path(config.dot_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for d, windows in enumerate(layers.layers):
+        for d, parts in enumerate(layers.layers):
             path = out / f"{spec.name}_layer_{d:03d}.dot"
-            roots = {f"layer_{d}_window_{j}": w for j, w in enumerate(windows)}
+            roots = {f"layer_{d}_part_{j}": part for j, part in enumerate(parts)}
             path.write_text(ts.store.to_dot(roots), encoding="utf-8")
 
     report = RunReport(game=spec.name, strategy=str(config.strategy),
@@ -177,8 +178,10 @@ def compare(reports: list[RunReport], baseline: RunReport) -> list[CompareRow]:
 
 
 def format_compare(rows: list[CompareRow]) -> str:
-    lines = ["game,strategy,layers_ratio,time_ratio,max_nodes_ratio"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("game", "strategy", "layers_ratio", "time_ratio", "max_nodes_ratio"))
     for row in rows:
-        lines.append(f"{row.game},{row.strategy},{row.layers_ratio:.2f},"
-                     f"{row.time_ratio:.2f},{row.max_nodes_ratio:.2f}")
-    return "\n".join(lines) + "\n"
+        writer.writerow((row.game, row.strategy, f"{row.layers_ratio:.2f}",
+                         f"{row.time_ratio:.2f}", f"{row.max_nodes_ratio:.2f}"))
+    return out.getvalue()

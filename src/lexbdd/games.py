@@ -2,7 +2,7 @@
 
 A game file is line oriented UTF-8 text.  Sections:
 
-    name: <word>                         optional, defaults to the file stem
+    name: <word>                         letters, digits, _ and -; defaults to the file stem
     vars: v1, v2, ...                    may repeat, order is the variable order
     init: v1, v3                         variables listed start true, others false
     player <p> action <name>: pre = <formula>; eff = <var> := <formula>, ...
@@ -225,8 +225,8 @@ def parse_game(text: str, name: str = "game") -> GameSpec:
                 raise GameSpecError(f"line {line_no}: name declared twice")
             named = True
             spec_name = line[len("name:"):].strip()
-            if not spec_name:
-                raise GameSpecError(f"line {line_no}: empty name")
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", spec_name):
+                raise GameSpecError(f"line {line_no}: bad game name {spec_name!r}")
             continue
         if line.startswith("vars:"):
             for v in line[len("vars:"):].split(","):
@@ -586,8 +586,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
     layer a budget left unsolved has an empty one), the backward
     :class:`~lexbdd.search.LayerStat` rows in layer order, and whether
     every layer was classified.  The compiled reward operands are keyed
-    by their formulas.  Layer ``d``'s step ORs the layer's windows, and
-    its non-terminal windows, once (see
+    by their formulas.  Layer ``d``'s step ORs the layer's parts, and
+    their non-terminal halves, once (see
     :class:`~lexbdd.search.LayerSequence`) and keeps neither union past
     the step.  A player outside ``layers.movers[d]`` takes no AND with
     the layer's non-terminal half, which would be empty.  Each class
@@ -616,9 +616,8 @@ def _classify_layers(ts: TransitionSystem, spec: GameSpec, layers: LayerSequence
 
     for d in range(last, -1, -1):
         held = [conjuncts, can_move, *layer_classes[d + 1:]]
-        edges = iter(steps.start([e for table in held for e in table.values()]))
-        for table in held:
-            table.update({key: next(edges) for key in table})
+        for table, edges in zip(held, steps.start([table.values() for table in held])):
+            table.update(zip(table, edges))
         if steps.exhausted():
             complete = False
             break

@@ -202,10 +202,11 @@ def states_lex_bounded(table: CountTable | Sequence[CountTable], bound: int) -> 
 
 
 def join_windows(store: BddStore, windows: Sequence[int]) -> int:
-    """The OR of lex windows; one window is returned as it is, none as false."""
+    """The OR of lex windows; one non-empty window is returned as it is, none as false."""
     union = FALSE
     for w in windows:
-        union = w if union == FALSE else store.apply("or", union, w)
+        if w != FALSE:
+            union = w if union == FALSE else store.apply("or", union, w)
     return union
 
 

@@ -22,19 +22,19 @@ that moved, and leaves out only products that are empty.  Each product
 quantifies only the levels its player writes and moves those variables
 between their current and next copies itself, so every subimage comes
 out over the current variables and nothing is renamed.
-The breadth-first search stores each depth layer as a tuple of lex
-windows, disjoint sets in ascending lex order whose OR is the layer,
-and subtracts everything seen before from each, so layers are disjoint
-and layer index equals BFS depth.  The windows of a layer end where
-the parts of the layer before it end: each subimage is split at those
-cuts and each piece ORed into its window, so no step builds its merged
-image, and the next step cuts the windows into the parts it would cut
-their OR into.  ``none`` is the one-part lex partition, so under it a
-layer is one window.  Each step masks its parts with the complement of
-the sink set once and keeps the masked windows beside the layer, so a
-backward solve reads both halves of a layer without walking the sink
-set.  What happens between two layer steps, of the search and of the
-backward solve alike, is up to :class:`_LayerSteps`.
+The breadth-first search stores each depth layer as the strategy's
+parts of it, disjoint sets in ascending lex order whose OR is the layer,
+and subtracts everything seen before from it, so layers are disjoint and
+layer index equals BFS depth.  A step splits each subimage where its
+layer's parts end and ORs each piece into its window, so no step builds
+its merged image; the next step partitions those windows, which live
+for that one step, into the new layer's parts.  ``none`` is the one-part
+lex partition, so under it a layer is one part.  Each step masks each
+part with the complement of the sink set once and keeps the masked
+parts beside the layer's, one to one, so a backward solve reads both
+halves of every part without walking the sink set.  What happens
+between two layer steps, of the search and of the backward solve alike,
+is up to :class:`_LayerSteps`.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class PartitionStrategy:
                  levels: tuple[int, ...]) -> list[int]:
         """Partition a state set over ``levels`` into disjoint lex-contiguous parts.
 
-        ``tables`` count the set's lex windows (see :class:`LayerSequence`);
+        ``tables`` count the set's lex windows (see :func:`layered_bfs`);
         the parts are those of the windows' OR, which is never built, and
         ``none`` is one part.  Only the forward image partitions its
         sources.  ``store`` and ``levels`` go unused, but stay because
@@ -220,14 +220,15 @@ class _LayerSteps:
         self.since = self.kept = store.node_count()
         self.deadline = self.limits.deadline()
 
-    def start(self, roots: list[int]) -> list[int]:
-        """Begin a step; returns ``roots``, remapped if the store was compacted."""
+    def start(self, groups: list[Sequence[int]]) -> list[Sequence[int]]:
+        """Begin a step; returns the groups of edges, remapped as tuples if it compacted."""
         store = self.store
         store.clear_caches()
         if store.node_count() > 2 * self.kept:
-            roots = store.compact(self.since, roots)
+            edges = iter(store.compact(self.since, [e for group in groups for e in group]))
+            groups = [tuple(itertools.islice(edges, len(group))) for group in groups]
             self.kept = store.node_count()
-        return roots
+        return groups
 
     def exhausted(self) -> bool:
         """Whether the time or the node budget has run out."""
@@ -241,12 +242,11 @@ class LayerStat:
 
     ``max_image_nodes`` is the largest diagram, in nodes, among the
     images a step builds.  Forward, those are the layer's subimages,
-    one per (part, player), and the lex windows they are ORed into, of
-    which there is one under ``none`` (see :class:`LayerSequence`); no
-    forward step builds its merged image.  Backward, they are the
-    preimages of the classes, each through one player's relation in one
-    product whatever the strategy; a player's last class takes its
-    states without one.  It does not depend on the order of the
+    one per (part, player), and the lex windows they are ORed into, one
+    per part (see :func:`_image_windows`); no forward step builds its
+    merged image.  Backward, they are the preimages of the classes,
+    each through one player's relation in one product whatever the
+    strategy; a player's last class takes its states without one.  It does not depend on the order of the
     actions, the players or the merge.  ``total_nodes`` is the store's
     node count at the end of the step, after any compaction at its
     start.
@@ -263,23 +263,22 @@ class LayerStat:
 class LayerSequence:
     """Breadth-first layers plus their metrics; ``reached`` is the union.
 
-    Each layer is a tuple of lex windows: non-empty, pairwise disjoint
+    Each layer is a tuple of its parts under the search's strategy (see
+    :meth:`PartitionStrategy.parts_of`): non-empty, pairwise disjoint
     state sets in ascending lex order over the current variables, whose
-    OR is the layer.  A layer has a window per part of the layer before
-    it that has successors here, so no layer is built merged; under
-    ``none``, which has one part, it is one window.  ``nonterminal[d]``
-    holds the windows of the non-terminal half of ``layers[d]``, its
-    states outside the sink set, which the search built as the sources
-    of the layer's image: one per part, lex-ascending and disjoint too,
-    with empty windows dropped.  The terminal half is the layer minus
-    their OR.  A complete sequence holds them for every layer; an
-    incomplete one lacks them for the last layer, whose image the search
-    never began.  ``movers[d]``, one per ``nonterminal[d]``, holds the
-    players whose relational product from layer ``d`` was non-empty:
-    exactly the players that can move in some non-terminal state of the
-    layer.  ``leads_back`` lists the layers whose image met ``reached``,
-    where a move leads back to that layer or an earlier one; every move
-    from any other layer leads to the next.
+    OR is the layer; under ``none`` it is one part.  The search built
+    ``nonterminal[d][i]``, which is ``layers[d][i] ∧ ¬sink`` and may be
+    ``FALSE``, as a source of the layer's image, so part ``i``'s
+    terminal half is ``layers[d][i] ∧ ¬nonterminal[d][i]``.  A complete
+    sequence holds them for every layer.  An incomplete one lacks them
+    for the last layer, whose image the search never began and which
+    stays as the image windows that made it, empty ones dropped.
+    ``movers[d]`` holds the players whose relational product from layer
+    ``d`` was non-empty: exactly the players that can move in some
+    non-terminal state of the layer.  ``leads_back`` lists the layers
+    whose image met ``reached``, where a move leads back to that layer
+    or an earlier one; every move from any other layer leads to the
+    next.
     """
     layers: list[tuple[int, ...]]
     nonterminal: list[tuple[int, ...]]
@@ -346,28 +345,26 @@ def _followers(ts: TransitionSystem) -> list[tuple[int, ...]]:
     return followers
 
 
-def _image_windows(ts: TransitionSystem, windows: list[CountTable],
-                   strategy: PartitionStrategy, tried: Sequence[int]
+def _image_windows(ts: TransitionSystem, parts: Sequence[int], tried: Sequence[int]
                    ) -> tuple[tuple[int, ...], list[int], int, tuple[int, ...]]:
-    """One forward step from a layer's windows, given as their count tables.
+    """One forward step from a layer's parts: disjoint and in ascending lex order.
 
-    The parts are masked with the complement of the sink set and kept as
-    the layer's non-terminal windows; image window ``i`` takes the
-    states in ``(cuts[i - 1], cuts[i]]``, ``cuts[i]`` being part
-    ``i``'s lex-greatest member.  Each (part, player) subimage is split
-    only at the cuts between its lex-least and lex-greatest members,
-    skipping the windows a split finds empty, and each piece is ORed
-    into its window.  Under ``none``, one part, there is no cut and
-    every subimage is ORed into one image.  Only the relations whose
+    Each part is masked with the complement of the sink set, and the
+    masked parts, one per part, are the layer's non-terminal half; image
+    window ``i`` takes the states in ``(cuts[i - 1], cuts[i]]``,
+    ``cuts[i]`` being part ``i``'s lex-greatest member.  Each (part,
+    player) subimage is split only at the cuts between its lex-least and
+    lex-greatest members, skipping the windows a split finds empty, and
+    each piece is ORed into its window.  With one part there is no cut
+    and every subimage is ORed into one image.  Only the relations whose
     indices ``tried`` lists, in ascending order, take a product; the
     caller leaves out those whose products it knows to be empty.
-    Returns the non-empty non-terminal windows, the image windows (some
-    may be empty), the peak (the largest subimage or window image) and
-    the indices of the tried relations with a non-empty product.
+    Returns the masked parts (some may be ``FALSE``), the image windows
+    (some may be empty), the peak (the largest subimage or window image)
+    and the indices of the tried relations with a non-empty product.
     """
     store, levels = ts.store, ts.current
-    parts = strategy.parts_of(store, windows, levels)
-    sources = [_outside_sink(ts, part) for part in parts]
+    sources = tuple(_outside_sink(ts, part) for part in parts)
     cuts = [extreme_member(store, part, levels, 1) for part in parts[:-1]]
     products = []
     for index in tried:
@@ -397,7 +394,7 @@ def _image_windows(ts: TransitionSystem, windows: list[CountTable],
                 sub, i = pair.right, i + 1
             images[i] = store.apply("or", images[i], sub)
     peak = max(peak, *map(store.size, images))
-    return tuple(w for w in sources if w != FALSE), images, peak, tuple(sorted(moved))
+    return sources, images, peak, tuple(sorted(moved))
 
 
 def _preimages(ts: TransitionSystem, s: int, relations: tuple[Move, ...] | None = None,
@@ -429,9 +426,8 @@ def image(ts: TransitionSystem, s: int,
     ``s`` is partitioned by ``strategy`` and the subimages of its parts
     are merged; the result does not depend on the strategy.
     """
-    _, images, _, _ = _image_windows(ts, [precompute_counts(ts.store, s, ts.current)], strategy,
-                                     range(len(ts.relations)))
-    return join_windows(ts.store, images)
+    parts = strategy.parts_of(ts.store, [precompute_counts(ts.store, s, ts.current)], ts.current)
+    return join_windows(ts.store, _image_windows(ts, parts, range(len(ts.relations)))[1])
 
 
 def preimage(ts: TransitionSystem, s: int) -> int:
@@ -446,14 +442,15 @@ def preimage(ts: TransitionSystem, s: int) -> int:
 def layered_bfs(ts: TransitionSystem, init: int,
                 strategy: PartitionStrategy = NO_PARTITION,
                 limits: SearchLimits | None = None) -> LayerSequence:
-    """Explore forward from ``init``, one disjoint layer of lex windows per depth.
+    """Explore forward from ``init``, one disjoint layer of lex parts per depth.
 
-    Each new layer is the image of the previous one (see
+    Each step keeps its layer as its parts in place of the windows that
+    made it, and the next layer is the image of those parts (see
     :func:`_image_windows`) minus every state seen so far, window by
     window, with empty windows dropped; ``reached`` stays one set.  The
     search stops at the fix point or when a budget runs out, in which
     case the sequence is flagged incomplete.  Each step keeps its masked
-    sources in :attr:`LayerSequence.nonterminal` and the players that
+    parts in :attr:`LayerSequence.nonterminal` and the players that
     moved from them in :attr:`LayerSequence.movers`; a step whose image
     met ``reached`` is listed in :attr:`LayerSequence.leads_back`.  The
     first step tries every relation; each later step tries only the
@@ -461,7 +458,7 @@ def layered_bfs(ts: TransitionSystem, init: int,
     relations whose product was non-empty in the step before, as every
     state of the new layer was made by one of those.  The products it
     leaves out are empty.  Between steps, :class:`_LayerSteps` keeps the
-    layers, their non-terminal windows and ``reached``, so every edge
+    layers, their non-terminal halves and ``reached``, so every edge
     made before the call keeps its meaning, and so does every edge it
     returns.
     """
@@ -475,12 +472,10 @@ def layered_bfs(ts: TransitionSystem, init: int,
     nonterminal, movers, leads_back, stats = [], [], [], []
     made = (0.0, store.node_count(), 0)  # time_ms, total_nodes, peak of the newest layer
     while True:
-        held = [*layers, *nonterminal, (reached,)]
-        edges = iter(steps.start([e for windows in held for e in windows]))
-        held = [tuple(itertools.islice(edges, len(windows))) for windows in held]
+        held = steps.start([*layers, *nonterminal, (reached,)])
         layers, nonterminal, reached = held[:len(layers)], held[len(layers):-1], held[-1][0]
         # the windows are counted once, after any compaction, for the
-        # LayerStat and as the sources' windows
+        # LayerStat and for the partition
         tables = count_windows(store, layers[-1], ts.current)
         stats.append(LayerStat("forward", len(layers) - 1, *made,
                                sum(table.root_count for table in tables)))
@@ -488,7 +483,8 @@ def layered_bfs(ts: TransitionSystem, init: int,
             return LayerSequence(layers, nonterminal, movers, leads_back, stats, reached,
                                  complete=False)
         t0 = time.perf_counter()
-        kept, images, peak, moved = _image_windows(ts, tables, strategy, tried)
+        layers[-1] = tuple(strategy.parts_of(store, tables, ts.current))
+        kept, images, peak, moved = _image_windows(ts, layers[-1], tried)
         nonterminal.append(kept)
         movers.append(frozenset(ts.relations[i].player for i in moved))
         tried = sorted({j for i in moved for j in followers[i]})

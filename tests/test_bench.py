@@ -1,5 +1,7 @@
 """Benchmark runs, CSV round trips, comparison ratios, and the CLI."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -207,6 +209,29 @@ def test_cli_solve_and_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "game,strategy,layers_ratio,time_ratio,max_nodes_ratio"
     assert "fold-states-lex:4" in out
+
+
+def test_cli_compare_quotes_the_names(tmp_path, capsys):
+    # a game named by a file stem with a comma, and a quote
+    for stem in ("a,b", 'say "hi"'):
+        game = tmp_path / f"{stem}.game"
+        game.write_text(bundled_game_path("duel").read_text(encoding="utf-8").replace(
+            "name: duel\n", ""))
+        report = tmp_path / f"{stem}.csv"
+        assert main(["solve", str(game), "--csv", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(report), "--baseline", str(report)]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(header) == 5 and rows == [[stem, "none", "1.00", "1.00", "1.00"]]
+
+
+def test_cli_dot_dir_rejects_a_name_that_is_a_path(tmp_path, capsys):
+    game = tmp_path / "g.game"
+    game.write_text("name: ../escaped\n" + bundled_game_path("counter3").read_text(
+        encoding="utf-8").replace("name: counter3\n", ""))
+    assert main(["solve", str(game), "--dot-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: line 1: bad game name '../escaped'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.game"]
 
 
 @pytest.mark.parametrize("text, line", [

@@ -135,6 +135,13 @@ def test_parse_formula_constants_and_precedence():
     # nor a second name line
     ("name: a\nvars: a\nname: b\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\n"
      "reward 1 5: 1", "line 3: name declared twice"),
+    # a name goes into file names, such as the --dot-dir dumps, so it is a word
+    ("vars: a\nname: ../escaped\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 2: bad game name '../escaped'"),
+    ("name: a b\nvars: a\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 1: bad game name 'a b'"),
+    ("name:\nvars: a\nplayer 1 action go: pre = !a; eff = a := 1\nterminal: a\n"
+     "reward 1 5: 1", "line 1: bad game name ''"),
 ])
 def test_parse_errors_carry_location(text, fragment):
     with pytest.raises(GameSpecError) as err:
@@ -705,29 +712,29 @@ def test_terminal_classes_match_the_whole_space_reference_on_fuzzed_games():
 
 
 def _check_windows(ts, spec, layers):
-    """Each forward layer's windows, and its non-terminal ones, against the explicit BFS layers.
+    """Each forward layer's parts, and their non-terminal halves, against the explicit BFS layers.
 
-    Windows of either kind are non-empty, pairwise disjoint and lex
-    ascending: each one's greatest member (by ``unrank``) lies below the
-    next one's least.  A layer's windows hold exactly the explicit
-    layer's states, and its non-terminal windows the layer minus the
-    sink set.
+    A layer's parts are non-empty, pairwise disjoint and lex ascending:
+    each one's greatest member (by ``unrank``) lies below the next one's
+    least.  They hold exactly the explicit layer's states, and the
+    layer's non-terminal halves are its parts minus the sink set, one
+    per part.
     """
     store = ts.store
     explicit = ExplicitGame(spec).bfs_layers()
+    outside = -merged(store, ts.sink)
     assert layers.complete and len(layers.nonterminal) == len(layers.layers)
-    for windows, rest, states in zip(layers.layers, layers.nonterminal, explicit, strict=True):
-        for kind in (windows, rest):
-            tables = [precompute_counts(store, w, ts.current) for w in kind]
-            assert all(table.root_count > 0 for table in tables)
-            for a, b in zip(tables, tables[1:]):
-                assert unrank(a, a.root_count - 1) < unrank(b, 0)
-            for a, b in itertools.combinations(kind, 2):
-                assert store.apply("and", a, b) == FALSE
-        layer = merged(store, windows)
+    for parts, rest, states in zip(layers.layers, layers.nonterminal, explicit, strict=True):
+        tables = [precompute_counts(store, part, ts.current) for part in parts]
+        assert all(table.root_count > 0 for table in tables)
+        for a, b in zip(tables, tables[1:]):
+            assert unrank(a, a.root_count - 1) < unrank(b, 0)
+        for a, b in itertools.combinations(parts, 2):
+            assert store.apply("and", a, b) == FALSE
+        layer = merged(store, parts)
         assert precompute_counts(store, layer, ts.current).root_count == len(states)
         assert all(store.evaluate(layer, _full_assignment(store, bits, bits)) for bits in states)
-        assert merged(store, rest) == store.apply("and", layer, -merged(store, ts.sink))
+        assert rest == tuple(store.apply("and", part, outside) for part in parts)
 
 
 @pytest.mark.parametrize("name", bundled_game_names())
@@ -742,6 +749,42 @@ def test_forward_layers_are_disjoint_lex_windows_of_the_explicit_layers(name, st
         assert all(len(windows) == 1 for windows in layers.layers)
     elif name == "tictactoe":
         assert max(len(windows) for windows in layers.layers) > 1
+
+
+@pytest.mark.parametrize("name", bundled_game_names())
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_layer_is_its_strategy_partition_aligned_with_its_halves(name, strategy):
+    # layers[d] is the strategy's partition of layer d, and nonterminal[d]
+    # and the terminal halves line up with it part by part
+    spec = load_game(bundled_game_path(name))
+    strategy = PartitionStrategy.parse(strategy)
+    ts = compile_game(spec)
+    store = ts.store
+    layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
+    sink = merged(store, ts.sink)
+    assert layers.complete
+    for parts, rest in zip(layers.layers, layers.nonterminal, strict=True):
+        whole = precompute_counts(store, merged(store, parts), ts.current)
+        assert list(parts) == strategy.parts_of(store, [whole], ts.current)
+        assert len(rest) == len(parts)
+        for part, mine in zip(parts, rest):
+            assert mine == store.apply("and", part, -sink)
+            assert store.apply("and", part, -mine) == store.apply("and", part, sink)
+    # an incomplete sequence keeps its last layer as the windows that made it
+    steps = []
+
+    class ThreeSteps(SearchLimits):
+        def nodes_exceeded(self, store):
+            steps.append(None)
+            return len(steps) > 3
+
+    partial = layered_bfs(ts, initial_edge(ts, spec), strategy, ThreeSteps())
+    assert partial.complete == (len(layers.layers) <= 3)
+    if partial.complete:
+        return
+    assert len(partial.layers) == 4 and len(partial.nonterminal) == 3
+    assert partial.layers[:3] == layers.layers[:3]
+    assert merged(store, partial.layers[3]) == merged(store, layers.layers[3])
 
 
 @pytest.mark.parametrize("name", bundled_game_names())

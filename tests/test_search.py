@@ -158,17 +158,15 @@ def test_subimages_match_the_framed_reference(name):
         store = ts.store
         strategy = PartitionStrategy.parse(text)
         layers = layered_bfs(ts, initial_edge(ts, spec), strategy)
-        for windows in layers.layers:
-            layer = merged(store, windows)
-            tables = [precompute_counts(store, w, ts.current) for w in windows]
-            parts = strategy.parts_of(store, tables, ts.current)
-            # the image windows end where the parts end; none has one part
+        for parts in layers.layers:
+            layer = merged(store, parts)
+            # the image windows end where the layer's parts end; none has one part
             cuts = []
             for part in parts[:-1]:
                 table = precompute_counts(store, part, ts.current)
                 cuts.append(unrank(table, table.root_count - 1))
             every = range(len(ts.relations))
-            assert _image_windows(ts, tables, strategy, every)[1:3] == \
+            assert _image_windows(ts, parts, every)[1:3] == \
                 _subimages_reference(ts, spec, parts, True, cuts)
             # a preimage never partitions its target set
             assert _preimages(ts, layer, care=-merged(store, ts.sink)) == \
@@ -298,8 +296,9 @@ def test_forward_search_counts_each_layer_once(strategy, monkeypatch):
     count, compact = lexbdd.search.count_windows, BddStore.compact
 
     def counting(store, roots, levels):
-        counted.extend(roots)
-        return count(store, roots, levels)
+        tables = count(store, roots, levels)
+        counted.append(sum(table.root_count for table in tables))
+        return tables
 
     def counting_again(store, f, levels):
         raise AssertionError("a window was counted again")
@@ -314,8 +313,8 @@ def test_forward_search_counts_each_layer_once(strategy, monkeypatch):
     layers = layered_bfs(ts, initial_edge(ts, spec), PartitionStrategy.parse(strategy))
     assert layers.complete
     assert compactions
-    assert len(counted) == sum(len(windows) for windows in layers.layers)
-    assert [row.states for row in layers.stats] == \
+    # one count per layer, of all its states
+    assert counted == [row.states for row in layers.stats] == \
         [len(states) for states in ExplicitGame(spec).bfs_layers()]
 
 
